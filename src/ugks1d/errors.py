@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A linear solve failed: non-convergence, zero pivot, or NaN.
+    """A linear solve failed (non-convergence, zero pivot, or NaN) or a run blew up.
 
     ``best`` carries the last iterate when an iterative method gives up,
     so callers can inspect how far the solve got.

@@ -15,6 +15,7 @@ sigma = 1 and dt = 1e-5:
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +49,14 @@ from .velocity_space import (
 )
 
 
+class Reference(enum.Enum):
+    """Which analytic density a run's snapshots are compared against."""
+
+    TRANSPORT = "transport"  # exact free transport
+    DIFFUSION = "diffusion"  # periodic heat kernel of the diffusion limit
+    LIMIT_FD = "limit-fd"  # explicit finite-difference limit scheme, step by step
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -63,9 +72,7 @@ class Scenario:
     cfl_c1: float = 0.5
     cfl_c2: float = 0.5
     out_dir: str | None = None
-    compare_transport: bool = False
-    compare_diffusion: bool = False
-    compare_limit_fd: bool = False
+    reference: Reference | None = None
 
     def __post_init__(self):
         for field in ("eta", "epsilon", "sigma"):
@@ -111,7 +118,7 @@ PRESETS: dict[str, Scenario] = {
         nv=100,
         dt=1e-5,
         t_snapshots=(0.05, 0.1),
-        compare_transport=True,
+        reference=Reference.TRANSPORT,
     ),
     "intermediate": Scenario(
         name="intermediate",
@@ -134,13 +141,13 @@ PRESETS: dict[str, Scenario] = {
         nv=100,
         dt=1e-5,
         t_snapshots=(0.05, 0.075, 0.1),
-        compare_diffusion=True,
+        reference=Reference.DIFFUSION,
     ),
 }
 
 _CONFIG_FIELDS = {
     "name": str,
-    "operator": str,
+    "operator": OperatorKind,
     "eta": float,
     "epsilon": float,
     "sigma": float,
@@ -148,30 +155,20 @@ _CONFIG_FIELDS = {
     "nv": int,
     "dt": None,  # number or the string "auto"
     "t_snapshots": None,
-    "variant": str,
+    "variant": Variant,
     "cfl_c1": float,
     "cfl_c2": float,
     "out_dir": str,
-    "compare_transport": bool,
-    "compare_diffusion": bool,
-    "compare_limit_fd": bool,
+    "reference": Reference,  # or null for none
 }
 
 
-def _parse_operator(value) -> OperatorKind:
+def _parse_choice(kind: enum.EnumMeta, key: str, value) -> enum.Enum:
     try:
-        return OperatorKind(value)
+        return kind(value)
     except ValueError:
-        choices = ", ".join(k.value for k in OperatorKind)
-        raise ConfigurationError(f"unknown operator {value!r}; choose one of {choices}") from None
-
-
-def _parse_variant(value) -> Variant:
-    try:
-        return Variant(value)
-    except ValueError:
-        choices = ", ".join(v.value for v in Variant)
-        raise ConfigurationError(f"unknown variant {value!r}; choose one of {choices}") from None
+        choices = ", ".join(member.value for member in kind)
+        raise ConfigurationError(f"unknown {key} {value!r}; choose one of {choices}") from None
 
 
 def load_scenario(source: str | Path) -> Scenario:
@@ -202,8 +199,6 @@ def load_scenario(source: str | Path) -> Scenario:
             known = ", ".join(sorted(PRESETS))
             raise ConfigurationError(f"{path}: unknown preset {base_name!r}; choose one of {known}")
         fields = dataclasses.asdict(PRESETS[base_name])
-        fields["operator"] = PRESETS[base_name].operator
-        fields["variant"] = PRESETS[base_name].variant
     else:
         fields = {
             "name": path.stem,
@@ -217,10 +212,11 @@ def load_scenario(source: str | Path) -> Scenario:
         raise ConfigurationError(f"{path}: unknown config keys: {', '.join(unknown)}")
 
     for key, value in raw.items():
-        if key == "operator":
-            fields[key] = _parse_operator(value)
-        elif key == "variant":
-            fields[key] = _parse_variant(value)
+        expected = _CONFIG_FIELDS[key]
+        if key == "reference" and value is None:
+            fields[key] = None
+        elif isinstance(expected, enum.EnumMeta):
+            fields[key] = _parse_choice(expected, key, value)
         elif key == "dt":
             if value == "auto":
                 fields[key] = None
@@ -235,9 +231,6 @@ def load_scenario(source: str | Path) -> Scenario:
                 raise ConfigurationError(f"{path}: t_snapshots must be a list of numbers")
             fields[key] = tuple(float(t) for t in value)
         else:
-            expected = _CONFIG_FIELDS[key]
-            if expected is bool and not isinstance(value, bool):
-                raise ConfigurationError(f"{path}: {key} must be a boolean, got {value!r}")
             try:
                 fields[key] = expected(value)
             except (TypeError, ValueError):
@@ -252,13 +245,6 @@ def load_scenario(source: str | Path) -> Scenario:
     ]
     if missing:
         raise ConfigurationError(f"{path}: missing required fields: {', '.join(missing)}")
-    fields.setdefault("name", path.stem)
-    if isinstance(fields.get("operator"), str):
-        fields["operator"] = _parse_operator(fields["operator"])
-    if isinstance(fields.get("variant"), str):
-        fields["variant"] = _parse_variant(fields["variant"])
-    if isinstance(fields.get("t_snapshots"), list):
-        fields["t_snapshots"] = tuple(fields["t_snapshots"])
     return Scenario(**fields)
 
 
@@ -386,22 +372,22 @@ def read_snapshot_csv(path: Path) -> dict[str, np.ndarray]:
 
 
 def _reference_curves(run_: ScenarioRun) -> dict[int, np.ndarray]:
-    """Reference density per snapshot index, honoring the comparison flags."""
+    """Reference density per snapshot index, for the scenario's reference."""
     scenario = run_.scenario
     op = run_.operator
     x = run_.x_centers
     refs: dict[int, np.ndarray] = {}
     snapshots = run_.result.snapshots
-    if scenario.compare_transport:
+    if scenario.reference is Reference.TRANSPORT:
         for idx, snap in enumerate(snapshots):
             if snap.time > 0:
                 refs[idx] = transport_density(snap.time, x, op.grid, scenario.eta)
-    elif scenario.compare_diffusion:
+    elif scenario.reference is Reference.DIFFUSION:
         kappa = 1.0 / (3.0 * scenario.sigma * abs(op.lambda_star))
         for idx, snap in enumerate(snapshots):
             if snap.time > 0:
                 refs[idx] = exact_diffusion_density(snap.time, x, kappa)
-    elif scenario.compare_limit_fd:
+    elif scenario.reference is Reference.LIMIT_FD:
         kappa_d = (
             float(op.grid.velocities @ op.grid.velocities)
             / op.grid.size

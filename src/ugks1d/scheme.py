@@ -14,8 +14,9 @@ the interpolation weights are the coefficients
 so one scheme serves every regime: A -> 1/eta recovers the upwind
 transport scheme, and A -> 0, D -> 1/(sigma lambda_star) recovers an
 explicit heat-equation step.  Collisions are implicit: each cell solves
-(I - c D_op) F = rhs with c = sigma dt/(eps eta), dispatched on the
-operator's solver hint.
+(I - c D_op) F = rhs with c = sigma dt/(eps eta).  ``Stepper`` prepares
+that solve once per run: a scalar divide for BGK, a factored (cyclic)
+Thomas solve for a banded matrix, conjugate gradient for any other.
 
 The implicit-diffusion variant instead closes the density update on the
 new-time gradient, solving one periodic tridiagonal macro system per
@@ -38,9 +39,11 @@ from .linalg import (
     factor_cyclic,
     factor_tridiagonal,
 )
-from .velocity_space import CollisionOperator, SolverHint, VelocityGrid
+from .velocity_space import CollisionOperator, OperatorKind, VelocityGrid
 
 _UNDERFLOW = -700.0
+# largest relative mass drift run() accepts; a sound run drifts by round-off
+MASS_DRIFT_MAX = 1e-9
 
 
 class Variant(enum.Enum):
@@ -90,14 +93,6 @@ class FluxCoefficients:
     c_coef: float
     d_coef: float
     w: float
-
-
-@dataclass(frozen=True)
-class HalfMoments:
-    rho_minus: float
-    rho_plus: float
-    j_minus: float
-    j_plus: float
 
 
 def underflow_exp(w: float) -> float:
@@ -165,63 +160,6 @@ def flux_coefficients(params: SchemeParams, lambda_star: float) -> FluxCoefficie
     return FluxCoefficients(a_coef, c_coef, d_coef, w)
 
 
-def half_moments(f_row: np.ndarray, grid: VelocityGrid) -> HalfMoments:
-    """Density and current split by velocity sign, 1/(2N)-weighted."""
-    f_row = np.asarray(f_row, dtype=float)
-    n = grid.size
-    half = grid.half_count
-    v = grid.velocities
-    inv = 1.0 / n
-    return HalfMoments(
-        rho_minus=inv * float(f_row[:half].sum()),
-        rho_plus=inv * float(f_row[half:].sum()),
-        j_minus=inv * float(v[:half] @ f_row[:half]),
-        j_plus=inv * float(v[half:] @ f_row[half:]),
-    )
-
-
-def micro_flux(
-    f_left: np.ndarray,
-    f_right: np.ndarray,
-    coeffs: FluxCoefficients,
-    op: CollisionOperator,
-    grid: VelocityGrid,
-    dx: float,
-) -> np.ndarray:
-    """Kinetic flux through the interface between two cells.
-
-    phi_j = A v_j upwind_j + C v_j (rho_plus_left + rho_minus_right)
-          + D (rho_right - rho_left)/dx * lambda_star U_j v_j
-    """
-    v = grid.velocities
-    left = half_moments(f_left, grid)
-    right = half_moments(f_right, grid)
-    upwind = np.where(v > 0, f_left, f_right)
-    grad = ((right.rho_minus + right.rho_plus) - (left.rho_minus + left.rho_plus)) / dx
-    return (
-        coeffs.a_coef * v * upwind
-        + coeffs.c_coef * v * (left.rho_plus + right.rho_minus)
-        + coeffs.d_coef * grad * op.lambda_star * op.u_vector * v
-    )
-
-
-def macro_flux(
-    f_left: np.ndarray,
-    f_right: np.ndarray,
-    coeffs: FluxCoefficients,
-    op: CollisionOperator,
-    grid: VelocityGrid,
-    dx: float,
-) -> float:
-    """Density flux; equals the velocity average of micro_flux."""
-    v = grid.velocities
-    left = half_moments(f_left, grid)
-    right = half_moments(f_right, grid)
-    grad = ((right.rho_minus + right.rho_plus) - (left.rho_minus + left.rho_plus)) / dx
-    vv_mean = float(v @ v) / grid.size
-    return coeffs.a_coef * (left.j_plus + right.j_minus) + coeffs.d_coef * vv_mean * grad
-
-
 def default_time_step(dx: float, eta: float, c1: float = 0.5, c2: float = 0.5) -> float:
     """Empirical stability law dt = c1 dx^2 + c2 eta dx."""
     return c1 * dx * dx + c2 * eta * dx
@@ -250,8 +188,14 @@ def _cyclic_bands(matrix: np.ndarray) -> TridiagonalSystem | None:
     )
 
 
-class _Workspace:
-    """Per-(operator, params) precomputation reused across steps.
+class Stepper:
+    """One run's update, with every per-run quantity computed once.
+
+    Built from the operator and the parameters alone: the flux
+    coefficients, the half-moment weights, the factored collision system
+    and (for the implicit-diffusion variant) the macro system, which is
+    factored on the first step because it needs the cell count.  The
+    variant is ``params.variant``.
 
     Collision solves run in fluctuation form: with m = rho^{n+1} known
     from the macro update, F = m 1 + G and (I - cD) G = rhs - m 1.  The
@@ -259,13 +203,19 @@ class _Workspace:
     (the assembled matrix entries scale like c/dv^2) cannot leak into the
     conserved mean; G is re-centered to mean zero afterwards, which the
     exact solution satisfies.
+
+    The implicit-diffusion macro system (I + mu Lap) rho^{n+1} =
+    rho^n - (dt A/dx) diff(J), with mu = dt <V,V>/(2N) D_coef / dx^2 < 0,
+    is symmetric positive definite and diagonally dominant, so the cyclic
+    elimination cannot hit a zero pivot; the kinetic fluxes then use the
+    new-time gradient.
     """
 
-    def __init__(self, op: CollisionOperator, grid: VelocityGrid, params: SchemeParams):
+    def __init__(self, op: CollisionOperator, params: SchemeParams):
         self.op = op
-        self.grid = grid
         self.params = params
         self.coeffs = flux_coefficients(params, op.lambda_star)
+        grid = op.grid
         n = grid.size
         half = grid.half_count
         v = grid.velocities
@@ -280,36 +230,28 @@ class _Workspace:
         self.du_v = (op.lambda_star * op.u_vector * v)[None, :]
         self.vv_mean = float(v @ v) / n
         self.c = params.stiffness
-        self._prepare_collision()
-        if params.variant is Variant.IMPLICIT_DIFFUSION:
-            self.macro_factor = None  # built lazily, needs nx
-
-    def _prepare_collision(self):
-        c = self.c
-        hint = self.op.solver_hint
         self._collision_factor = None
         self._collision_apply = None
-        if hint is SolverHint.DIAGONAL_TRICK:
-            return
-        system_matrix = -c * self.op.matrix
-        system_matrix[np.arange(self.grid.size), np.arange(self.grid.size)] += 1.0
-        bands = _cyclic_bands(system_matrix)
-        if bands is not None:
-            if bands.cyclic:
+        self._macro_factor = None
+        if op.kind is not OperatorKind.BGK:
+            c = self.c
+            matrix = op.matrix
+            system_matrix = -c * matrix
+            system_matrix[np.arange(n), np.arange(n)] += 1.0
+            bands = _cyclic_bands(system_matrix)
+            if bands is None:
+                self._collision_apply = lambda x: x - c * (matrix @ x)
+            elif bands.cyclic:
                 self._collision_factor = factor_cyclic(bands)
             else:
                 self._collision_factor = factor_tridiagonal(bands)
-        else:
-            matrix = self.op.matrix
-            self._collision_apply = lambda x: x - c * (matrix @ x)
 
     def solve_collision(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
         """Solve (I - cD) F = rhs cell by cell, given the updated density."""
-        c = self.c
         g_rhs = rhs - rho_new[:, None]
-        if self.op.solver_hint is SolverHint.DIAGONAL_TRICK:
+        if self.op.kind is OperatorKind.BGK:
             # D = P0 - I makes the fluctuation system diagonal
-            g = g_rhs / (1.0 + c)
+            g = g_rhs / (1.0 + self.c)
         elif self._collision_factor is not None:
             g = self._collision_factor.solve(g_rhs.T).T
         else:
@@ -324,8 +266,9 @@ class _Workspace:
         g -= g.mean(axis=1, keepdims=True)
         return rho_new[:, None] + g
 
-    def macro_system_factor(self, nx: int):
-        if getattr(self, "macro_factor", None) is None:
+    def _solve_macro(self, rhs_rho: np.ndarray) -> np.ndarray:
+        nx = rhs_rho.shape[0]
+        if self._macro_factor is None or self._macro_factor.base.size != nx:
             p = self.params
             mu = p.dt * self.vv_mean * self.coeffs.d_coef / p.dx**2
             system = TridiagonalSystem(
@@ -335,75 +278,34 @@ class _Workspace:
                 corner_upper=mu,
                 corner_lower=mu,
             )
-            self.macro_factor = factor_cyclic(system)
-        return self.macro_factor
+            self._macro_factor = factor_cyclic(system)
+        return self._macro_factor.solve(rhs_rho)
 
+    def step(self, state: KineticState) -> KineticState:
+        """Advance one time step of the parameters' variant."""
+        p = self.params
+        co = self.coeffs
+        f, rho = state.f, state.rho
+        moments = f @ self.moment_weights
+        upwind = np.where(self.positive, f, np.roll(f, -1, axis=0))
+        edge_rho = moments[:, 1] + np.roll(moments[:, 0], -1)
+        edge_j = moments[:, 3] + np.roll(moments[:, 2], -1)
 
-def _interface_terms(f: np.ndarray, ws: _Workspace):
-    moments = f @ ws.moment_weights
-    rho_minus = moments[:, 0]
-    rho_plus = moments[:, 1]
-    j_minus = moments[:, 2]
-    j_plus = moments[:, 3]
-    upwind = np.where(ws.positive, f, np.roll(f, -1, axis=0))
-    edge_rho = rho_plus + np.roll(rho_minus, -1)
-    edge_j = j_plus + np.roll(j_minus, -1)
-    return upwind, edge_rho, edge_j
+        if p.variant is Variant.EXPLICIT_DIFFUSION:
+            grad = (np.roll(rho, -1) - rho) / p.dx
+            flux_rho = co.a_coef * edge_j + co.d_coef * self.vv_mean * grad
+            rho_new = rho - (p.dt / p.dx) * (flux_rho - np.roll(flux_rho, 1))
+        else:
+            rhs_rho = rho - (p.dt * co.a_coef / p.dx) * (edge_j - np.roll(edge_j, 1))
+            rho_new = self._solve_macro(rhs_rho)
+            grad = (np.roll(rho_new, -1) - rho_new) / p.dx
 
-
-def _advance(state: KineticState, ws: _Workspace) -> KineticState:
-    p = ws.params
-    co = ws.coeffs
-    f, rho = state.f, state.rho
-    upwind, edge_rho, edge_j = _interface_terms(f, ws)
-
-    if p.variant is Variant.EXPLICIT_DIFFUSION:
-        grad = (np.roll(rho, -1) - rho) / p.dx
-        flux_rho = co.a_coef * edge_j + co.d_coef * ws.vv_mean * grad
-        rho_new = rho - (p.dt / p.dx) * (flux_rho - np.roll(flux_rho, 1))
-    else:
-        rhs_rho = rho - (p.dt * co.a_coef / p.dx) * (edge_j - np.roll(edge_j, 1))
-        rho_new = ws.macro_system_factor(state.nx).solve(rhs_rho)
-        grad = (np.roll(rho_new, -1) - rho_new) / p.dx
-
-    phi = (co.a_coef * upwind + (co.c_coef * edge_rho)[:, None]) * ws.v_row + (
-        co.d_coef * grad
-    )[:, None] * ws.du_v
-    rhs = f - (p.dt / p.dx) * (phi - np.roll(phi, 1, axis=0))
-    f_new = ws.solve_collision(rhs, rho_new)
-    return KineticState(f_new, rho_new, state.t + p.dt)
-
-
-def step_explicit(
-    state: KineticState,
-    params: SchemeParams,
-    op: CollisionOperator,
-    grid: VelocityGrid,
-) -> KineticState:
-    """One step of the explicit-diffusion variant."""
-    if params.variant is not Variant.EXPLICIT_DIFFUSION:
-        raise ConfigurationError("step_explicit needs variant = EXPLICIT_DIFFUSION")
-    return _advance(state, _Workspace(op, grid, params))
-
-
-def step_implicit_diffusion(
-    state: KineticState,
-    params: SchemeParams,
-    op: CollisionOperator,
-    grid: VelocityGrid,
-) -> KineticState:
-    """One step of the implicit-diffusion variant.
-
-    The macro system (I + mu Lap) rho^{n+1} = rho^n - (dt A/dx) diff(J)
-    with mu = dt <V,V>/(2N) D_coef / dx^2 < 0 is symmetric positive
-    definite and diagonally dominant, so the cyclic elimination cannot
-    hit a zero pivot; the kinetic fluxes then use the new-time gradient.
-    """
-    if params.variant is not Variant.IMPLICIT_DIFFUSION:
-        raise ConfigurationError(
-            "step_implicit_diffusion needs variant = IMPLICIT_DIFFUSION"
-        )
-    return _advance(state, _Workspace(op, grid, params))
+        phi = (co.a_coef * upwind + (co.c_coef * edge_rho)[:, None]) * self.v_row + (
+            co.d_coef * grad
+        )[:, None] * self.du_v
+        rhs = f - (p.dt / p.dx) * (phi - np.roll(phi, 1, axis=0))
+        f_new = self.solve_collision(rhs, rho_new)
+        return KineticState(f_new, rho_new, state.t + p.dt)
 
 
 @dataclass(frozen=True)
@@ -445,34 +347,48 @@ def run(
     each requested time (no interpolation).  The initial state counts for
     snapshot times at or before t0.
 
-    Exactly one of ``t_end`` / ``n_steps`` must be given.
+    Exactly one of ``t_end`` / ``n_steps`` must be given.  Every snapshot,
+    the final one included, must have a finite f and a mass within
+    ``MASS_DRIFT_MAX`` of the initial one, relative to the initial mass of
+    |rho|; otherwise the run has blown up (typically dt beyond the
+    stability limit) and SolverError names the step and time.
     """
     if (t_end is None) == (n_steps is None):
         raise ConfigurationError("give exactly one of t_end or n_steps")
+    if grid.half_count != op.grid.half_count:
+        raise ConfigurationError(
+            f"grid has N = {grid.half_count} but the operator was built on "
+            f"N = {op.grid.half_count}"
+        )
     if n_steps is None:
         span = t_end - state.t
         n_steps = 0 if span <= 0 else int(math.ceil(span / params.dt - 1e-9))
 
     dx_mass = params.dx
+    m0 = dx_mass * float(state.rho.sum())
+    mass_tol = MASS_DRIFT_MAX * dx_mass * float(np.abs(state.rho).sum())
+    snapshots = [Snapshot(state.t, 0, state.rho.copy(), m0)]
+
+    def take_snapshot(state: KineticState, step: int) -> None:
+        mass = dx_mass * float(state.rho.sum())
+        finite = bool(np.isfinite(state.f).all())
+        if not (finite and abs(mass - m0) <= mass_tol):
+            what = f"mass {m0:.6e} -> {mass:.6e}" if finite else "non-finite state"
+            raise SolverError(f"blow-up at step {step}, t = {state.t:.6g}: {what}")
+        snapshots.append(Snapshot(state.t, step, state.rho.copy(), mass))
+
     pending = sorted(snapshot_times)
-    snapshots: list[Snapshot] = [
-        Snapshot(state.t, 0, state.rho.copy(), dx_mass * float(state.rho.sum()))
-    ]
     while pending and pending[0] <= state.t + 1e-12:
         pending.pop(0)
 
-    ws = _Workspace(op, grid, params)
+    stepper = Stepper(op, params)
     started = _time.perf_counter()
     for k in range(n_steps):
-        state = _advance(state, ws)
+        state = stepper.step(state)
         while pending and state.t >= pending[0] - 1e-12:
             pending.pop(0)
-            snapshots.append(
-                Snapshot(state.t, k + 1, state.rho.copy(), dx_mass * float(state.rho.sum()))
-            )
+            take_snapshot(state, k + 1)
     elapsed = _time.perf_counter() - started
-    if n_steps > 0 and (not snapshots or snapshots[-1].step != n_steps):
-        snapshots.append(
-            Snapshot(state.t, n_steps, state.rho.copy(), dx_mass * float(state.rho.sum()))
-        )
+    if n_steps > 0 and snapshots[-1].step != n_steps:
+        take_snapshot(state, n_steps)
     return RunResult(state, snapshots, n_steps, elapsed / max(n_steps, 1))

@@ -33,14 +33,6 @@ class OperatorKind(enum.Enum):
     SCATTERING_PERIODIC = "sc"
 
 
-class SolverHint(enum.Enum):
-    """Which implicit collision solve the stepper should dispatch to."""
-
-    DIAGONAL_TRICK = "diagonal-trick"
-    TRIDIAGONAL = "tridiagonal"
-    GENERIC_SPD = "generic-spd"
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -75,7 +67,6 @@ class CollisionOperator:
     matrix: np.ndarray
     lambda_star: float
     u_vector: np.ndarray
-    solver_hint: SolverHint
 
     @property
     def size(self) -> int:
@@ -92,7 +83,6 @@ def build_bgk(grid: VelocityGrid) -> CollisionOperator:
         matrix=_read_only(matrix),
         lambda_star=-1.0,
         u_vector=_read_only(-grid.velocities),
-        solver_hint=SolverHint.DIAGONAL_TRICK,
     )
 
 
@@ -124,7 +114,6 @@ def build_fokker_planck(grid: VelocityGrid) -> CollisionOperator:
         matrix=_read_only(matrix),
         lambda_star=-2.0,
         u_vector=_read_only(-0.5 * grid.velocities),
-        solver_hint=SolverHint.TRIDIAGONAL,
     )
 
 
@@ -157,7 +146,6 @@ def build_scattering(grid: VelocityGrid, scale: float = 0.1) -> CollisionOperato
         matrix=_read_only(matrix),
         lambda_star=lambda_star,
         u_vector=_read_only(u_vector),
-        solver_hint=SolverHint.GENERIC_SPD,
     )
 
 

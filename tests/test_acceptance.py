@@ -143,8 +143,9 @@ def test_criterion_05_free_transport_reduction(capsys):
         params = u.scheme_params(scenario)
         state = u.initialize_state(scenario, op.grid)
         f_up = state.f.copy()
+        stepper = u.Stepper(op, params)
         for _ in range(100):
-            state = u.step_explicit(state, params, op, op.grid)
+            state = stepper.step(state)
             f_up = u.upwind_transport_step(f_up, params.dt, params.dx, params.eta, op.grid)
         worst = max(worst, float(np.abs(state.f - f_up).max()))
     ok = worst <= 1e-8
@@ -162,9 +163,10 @@ def test_criterion_06_diffusion_reduction(capsys):
     grid = op.grid
     kappa_d = float(grid.velocities @ grid.velocities) / grid.size / abs(op.lambda_star)
     worst = 0.0
+    stepper = u.Stepper(op, params)
     for _ in range(100):
         predicted = u.limit_diffusion_step(state.rho, params.dt, params.dx, kappa_d)
-        state = u.step_explicit(state, params, op, grid)
+        state = stepper.step(state)
         worst = max(worst, float(np.abs(state.rho - predicted).max()))
     ok = worst <= 1e-8
     report(capsys, 6, ok, f"max per-step gap to limit scheme over 100 steps = {worst:.3e}")

@@ -10,6 +10,7 @@ from ugks1d.errors import ConfigurationError, SolverError
 from ugks1d.reference import make_initial_data
 from ugks1d.scenarios import (
     PRESETS,
+    Reference,
     Scenario,
     ap_sweep,
     build_operator,
@@ -53,13 +54,14 @@ def write_config(tmp_path, **overrides):
 def test_preset_table():
     transport = PRESETS["transport"]
     assert (transport.eta, transport.epsilon, transport.sigma) == (1.0, 100.0, 1.0)
-    assert transport.compare_transport and not transport.compare_diffusion
+    assert transport.reference is Reference.TRANSPORT
     intermediate = PRESETS["intermediate"]
     assert (intermediate.eta, intermediate.epsilon) == (0.1, 0.1)
+    assert intermediate.reference is None
     diffusive = PRESETS["diffusive"]
     assert (diffusive.eta, diffusive.epsilon) == (1e-4, 1e-4)
     assert diffusive.t_snapshots == (0.05, 0.075, 0.1)
-    assert diffusive.compare_diffusion
+    assert diffusive.reference is Reference.DIFFUSION
     for preset in PRESETS.values():
         assert (preset.nx, preset.nv, preset.dt) == (100, 100, 1e-5)
         assert preset.operator is OperatorKind.BGK
@@ -192,6 +194,16 @@ def test_load_scenario_preset_inheritance(tmp_path):
     assert scenario.nx == 20
     assert scenario.epsilon == 1e-4
     assert scenario.t_snapshots == (0.05, 0.075, 0.1)
+    assert scenario.reference is Reference.DIFFUSION
+
+
+def test_load_scenario_reference_key(tmp_path):
+    scenario = load_scenario(write_config(tmp_path, reference="limit-fd"))
+    assert scenario.reference is Reference.LIMIT_FD
+    assert run_and_report(scenario).rows[-1].l1 is not None
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps({"preset": "transport", "reference": None}))
+    assert load_scenario(path).reference is None
 
 
 def test_load_scenario_dt_auto(tmp_path):
@@ -205,6 +217,8 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, cleverness=11)
     with pytest.raises(ConfigurationError, match="cleverness"):
         load_scenario(path)
+    with pytest.raises(ConfigurationError, match="unknown config keys: compare_transport"):
+        load_scenario(write_config(tmp_path, compare_transport=True))
 
 
 def test_load_scenario_reports_json_position(tmp_path):
@@ -242,8 +256,8 @@ def test_load_scenario_rejects_bad_field_values(tmp_path):
         load_scenario(write_config(tmp_path, dt=True))
     with pytest.raises(ConfigurationError, match="t_snapshots"):
         load_scenario(write_config(tmp_path, t_snapshots="soon"))
-    with pytest.raises(ConfigurationError, match="boolean"):
-        load_scenario(write_config(tmp_path, compare_transport=1))
+    with pytest.raises(ConfigurationError, match="transport, diffusion, limit-fd"):
+        load_scenario(write_config(tmp_path, reference="heat"))
     with pytest.raises(ConfigurationError, match="variant"):
         load_scenario(write_config(tmp_path, variant="semi"))
 
@@ -287,7 +301,7 @@ def test_run_and_report_writes_expected_files(tmp_path):
     scenario = Scenario(
         name="demo", operator=OperatorKind.FOKKER_PLANCK, eta=1.0, epsilon=1.0,
         sigma=1.0, nx=10, nv=4, dt=1e-3, t_snapshots=(1e-3, 3e-3),
-        compare_transport=True,
+        reference=Reference.TRANSPORT,
     )
     report = run_and_report(scenario, out_dir=tmp_path)
     assert [row.time for row in report.rows] == pytest.approx([0.0, 1e-3, 3e-3])
@@ -441,6 +455,20 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 4
     assert captured.err.startswith("io-error:")
+
+
+def test_cli_blow_up_exits_3_without_csv(tmp_path, capsys):
+    # dt = 1e-3 is far beyond the diffusive preset's stability limit: the
+    # mass drifts by orders of magnitude while the state stays finite
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"preset": "diffusive", "dt": 1e-3}))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["run", "--config", str(config), "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("solver-error:")
+    assert list(out.iterdir()) == []
 
 
 def test_cli_solver_and_internal_error_exit_codes(monkeypatch, capsys):

@@ -4,30 +4,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugks1d.errors import ConfigurationError
-from ugks1d.reference import limit_diffusion_step, upwind_transport_step
+from ugks1d.errors import SolverError
+from ugks1d.reference import (
+    half_moments,
+    limit_diffusion_step,
+    macro_flux,
+    micro_flux,
+    upwind_transport_step,
+)
 from ugks1d.scheme import (
     KineticState,
     SchemeParams,
+    Stepper,
     Variant,
     _expm1_over_w,
-    _Workspace,
     default_time_step,
     duhamel_bracket,
     flux_coefficients,
-    half_moments,
-    macro_flux,
-    micro_flux,
     run,
-    step_explicit,
-    step_implicit_diffusion,
     underflow_exp,
 )
 from ugks1d.velocity_space import (
     CollisionOperator,
     OperatorKind,
-    SolverHint,
     build_bgk,
     build_fokker_planck,
     build_grid,
@@ -244,7 +247,7 @@ def test_micro_flux_matches_time_integrated_interface_value(name):
 def test_collision_solve_matches_dense_reference(name):
     op = BUILDERS[name](build_grid(4))
     params = make_params(eta=0.1, epsilon=0.1, dt=1e-2)  # stiffness c = 1
-    ws = _Workspace(op, op.grid, params)
+    ws = Stepper(op, params)
     rng = np.random.default_rng(19)
     rhs = 1.0 + rng.random((6, 8))
     rho_new = rhs.mean(axis=1)
@@ -267,10 +270,9 @@ def test_collision_solve_dense_operator_falls_back_to_cg():
         matrix=matrix,
         lambda_star=lam,
         u_vector=u,
-        solver_hint=SolverHint.GENERIC_SPD,
     )
     params = make_params(eta=0.5, epsilon=0.5, dt=1e-2)
-    ws = _Workspace(op, grid, params)
+    ws = Stepper(op, params)
     assert ws._collision_factor is None and ws._collision_apply is not None
     rng = np.random.default_rng(23)
     rhs = 1.0 + rng.random((5, 8))
@@ -282,7 +284,7 @@ def test_collision_solve_dense_operator_falls_back_to_cg():
 def test_collision_solve_keeps_mean_exact_under_extreme_stiffness():
     op = build_fokker_planck(build_grid(50))
     params = make_params(eta=1e-4, epsilon=1e-4, dt=1e-5)  # c = 1e3
-    ws = _Workspace(op, op.grid, params)
+    ws = Stepper(op, params)
     rng = np.random.default_rng(29)
     rhs = 1.0 + rng.random((10, 100))
     rho_new = rhs.mean(axis=1)
@@ -298,22 +300,13 @@ def test_collision_solve_keeps_mean_exact_under_extreme_stiffness():
 def test_constant_state_is_a_fixed_point(name, variant):
     op = BUILDERS[name](build_grid(5))
     params = make_params(variant=variant)
-    stepper = step_explicit if variant is Variant.EXPLICIT_DIFFUSION else step_implicit_diffusion
+    stepper = Stepper(op, params)
     for value in (1.0, 0.37):
         state = KineticState(np.full((12, 10), value), np.full(12, value), 0.0)
-        advanced = stepper(state, params, op, op.grid)
+        advanced = stepper.step(state)
         np.testing.assert_allclose(advanced.f, value, rtol=1e-13)
         np.testing.assert_allclose(advanced.rho, value, rtol=1e-13)
         assert advanced.t == params.dt
-
-
-def test_variant_mismatch_rejected():
-    op = build_bgk(build_grid(5))
-    state = random_state(np.random.default_rng(0), 10, 10)
-    with pytest.raises(ConfigurationError, match="EXPLICIT"):
-        step_explicit(state, make_params(variant=Variant.IMPLICIT_DIFFUSION), op, op.grid)
-    with pytest.raises(ConfigurationError, match="IMPLICIT"):
-        step_implicit_diffusion(state, make_params(), op, op.grid)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -321,13 +314,92 @@ def test_variant_mismatch_rejected():
 def test_mass_conserved_and_mean_consistent(name, variant):
     op = BUILDERS[name](build_grid(10))
     params = make_params(dt=5e-4, dx=1.0 / 25, variant=variant)
-    stepper = step_explicit if variant is Variant.EXPLICIT_DIFFUSION else step_implicit_diffusion
+    stepper = Stepper(op, params)
     state = random_state(np.random.default_rng(31), 25, 20)
     mass0 = state.rho.sum()
     for _ in range(20):
-        state = stepper(state, params, op, op.grid)
+        state = stepper.step(state)
         np.testing.assert_allclose(state.f.mean(axis=1), state.rho, rtol=0, atol=1e-13)
     np.testing.assert_allclose(state.rho.sum(), mass0, rtol=1e-13)
+
+
+@st.composite
+def step_cases(draw):
+    """A stepper on a small random mesh with dt inside the stability law, and
+    a seed for the states it is applied to."""
+    name = draw(st.sampled_from(sorted(BUILDERS)))
+    variant = draw(st.sampled_from(list(Variant)))
+    op = BUILDERS[name](build_grid(draw(st.integers(2, 6))))
+    nx = draw(st.integers(3, 12))
+    eta = 10.0 ** draw(st.floats(-4.0, 0.0))
+    epsilon = 10.0 ** draw(st.floats(-4.0, 2.0))
+    dt = draw(st.floats(0.01, 1.0)) * default_time_step(1.0 / nx, eta)
+    params = make_params(eta=eta, epsilon=epsilon, dt=dt, dx=1.0 / nx, variant=variant)
+    return Stepper(op, params), nx, draw(st.integers(0, 2**32 - 1))
+
+
+def normal_state(rng, nx, nv):
+    f = rng.standard_normal((nx, nv))
+    return KineticState(f=f, rho=f.mean(axis=1), t=0.0)
+
+
+def assert_states_close(actual, expected, scale):
+    # one step may amplify its input; round-off scales with the output
+    tol = 1e-10 * max(1.0, scale)
+    np.testing.assert_allclose(actual.f, expected.f, rtol=0, atol=tol)
+    np.testing.assert_allclose(actual.rho, expected.rho, rtol=0, atol=tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases())
+def test_step_commutes_with_reflection(case):
+    # x -> 1 - x together with v -> -v: every operator commutes with
+    # velocity reversal, so the scheme must too
+    stepper, nx, seed = case
+    state = normal_state(np.random.default_rng(seed), nx, stepper.op.size)
+    mirrored = KineticState(state.f[::-1, ::-1].copy(), state.rho[::-1].copy(), 0.0)
+    advanced = stepper.step(state)
+    expected = KineticState(advanced.f[::-1, ::-1], advanced.rho[::-1], advanced.t)
+    assert_states_close(stepper.step(mirrored), expected, np.abs(advanced.f).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_step_is_linear(case, a, b):
+    stepper, nx, seed = case
+    rng = np.random.default_rng(seed)
+    first = normal_state(rng, nx, stepper.op.size)
+    second = normal_state(rng, nx, stepper.op.size)
+    combined = KineticState(a * first.f + b * second.f, a * first.rho + b * second.rho, 0.0)
+    out1, out2 = stepper.step(first), stepper.step(second)
+    expected = KineticState(a * out1.f + b * out2.f, a * out1.rho + b * out2.rho, out1.t)
+    scale = max(np.abs(out1.f).max(), np.abs(out2.f).max())
+    assert_states_close(stepper.step(combined), expected, scale)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_step_matches_per_interface_oracle(name):
+    # the whole-mesh flux assembly against the per-interface formulas looped
+    # over interfaces, followed by a dense solve of I - cD in every cell
+    op = BUILDERS[name](build_grid(4))
+    nx = 7
+    params = make_params(eta=0.3, epsilon=0.2, dt=2e-3, dx=1.0 / nx)
+    state = normal_state(np.random.default_rng(61), nx, op.size)
+    co = flux_coefficients(params, op.lambda_star)
+    f = state.f
+    right = np.roll(f, -1, axis=0)
+    phi = np.array([micro_flux(f[i], right[i], co, op, op.grid, params.dx) for i in range(nx)])
+    flux_rho = np.array(
+        [macro_flux(f[i], right[i], co, op, op.grid, params.dx) for i in range(nx)]
+    )
+    ratio = params.dt / params.dx
+    rho_new = state.rho - ratio * (flux_rho - np.roll(flux_rho, 1))
+    rhs = f - ratio * (phi - np.roll(phi, 1, axis=0))
+    system = np.eye(op.size) - params.stiffness * op.matrix
+    f_new = np.array([np.linalg.solve(system, row) for row in rhs])
+    advanced = Stepper(op, params).step(state)
+    np.testing.assert_allclose(advanced.rho, rho_new, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(advanced.f, f_new, rtol=0, atol=1e-12)
 
 
 def test_near_transport_step_matches_upwind():
@@ -335,7 +407,7 @@ def test_near_transport_step_matches_upwind():
     op = build_bgk(build_grid(10))
     params = make_params(eta=1.0, epsilon=1e8, dt=1e-4, dx=0.02)
     state = random_state(np.random.default_rng(37), 50, 20)
-    advanced = step_explicit(state, params, op, op.grid)
+    advanced = Stepper(op, params).step(state)
     expected = upwind_transport_step(state.f, params.dt, params.dx, params.eta, op.grid)
     np.testing.assert_allclose(advanced.f, expected, rtol=0, atol=1e-10)
 
@@ -350,9 +422,10 @@ def test_stiff_steps_track_limit_diffusion_scheme(name):
     state = KineticState(np.repeat(rho[:, None], 20, axis=1), rho.copy(), 0.0)
     grid = op.grid
     kappa_d = float(grid.velocities @ grid.velocities) / grid.size / abs(op.lambda_star)
+    stepper = Stepper(op, params)
     for _ in range(20):
         predicted = limit_diffusion_step(state.rho, params.dt, params.dx, kappa_d)
-        state = step_explicit(state, params, op, grid)
+        state = stepper.step(state)
         np.testing.assert_allclose(state.rho, predicted, rtol=0, atol=1e-8)
 
 
@@ -367,8 +440,9 @@ def test_implicit_variant_stable_beyond_explicit_step_limit():
     rho = 1.0 + 0.5 * np.sin(2.0 * np.pi * x)
     state = KineticState(np.repeat(rho[:, None], 20, axis=1), rho.copy(), 0.0)
     mass0 = state.rho.sum()
+    stepper = Stepper(op, params)
     for _ in range(50):
-        state = step_implicit_diffusion(state, params, op, op.grid)
+        state = stepper.step(state)
     assert np.isfinite(state.f).all()
     # amplitudes may only shrink toward the flat equilibrium
     assert state.rho.max() <= rho.max() + 1e-12
@@ -387,6 +461,18 @@ def test_run_requires_exactly_one_horizon():
         run(state, params, op, op.grid)
     with pytest.raises(ConfigurationError, match="exactly one"):
         run(state, params, op, op.grid, t_end=1.0, n_steps=3)
+    with pytest.raises(ConfigurationError, match="N = 3"):
+        run(state, params, op, build_grid(3), n_steps=1)
+
+
+def test_run_rejects_non_finite_state():
+    op = build_fokker_planck(build_grid(2))
+    state = random_state(np.random.default_rng(67), 5, 4)
+    state.f[2, 1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+        SolverError, match="step 2, t = 0.2: non-finite state"
+    ):
+        run(state, make_params(dt=0.1, dx=0.2), op, op.grid, n_steps=2)
 
 
 def test_run_zero_steps_returns_initial_state():

@@ -6,7 +6,6 @@ import pytest
 from ugks1d.errors import ConfigurationError
 from ugks1d.velocity_space import (
     OperatorKind,
-    SolverHint,
     build_bgk,
     build_fokker_planck,
     build_grid,
@@ -46,14 +45,12 @@ def test_bgk_smallest_grid_matrix():
     op = build_bgk(build_grid(1))
     np.testing.assert_array_equal(op.matrix, [[-0.5, 0.5], [0.5, -0.5]])
     assert op.lambda_star == -1.0
-    assert op.solver_hint is SolverHint.DIAGONAL_TRICK
 
 
 def test_fokker_planck_smallest_grid_matrix():
     op = build_fokker_planck(build_grid(1))
     np.testing.assert_array_equal(op.matrix, [[-1.0, 1.0], [1.0, -1.0]])
     assert op.lambda_star == -2.0
-    assert op.solver_hint is SolverHint.TRIDIAGONAL
 
 
 def test_fokker_planck_integer_edge_weights():
@@ -108,7 +105,6 @@ def test_scattering_smallest_cycle_closed_form():
         op.u_vector, [0.78125, 0.46875, -0.46875, -0.78125], atol=1e-11
     )
     np.testing.assert_allclose(op.lambda_star, -8.0 / 9.0, atol=1e-11)
-    assert op.solver_hint is SolverHint.GENERIC_SPD
 
 
 def test_scattering_needs_three_velocities():
