@@ -1,16 +1,18 @@
 """Deterministic linear solvers for the implicit pieces of the scheme.
 
-Three kinds of systems appear: symmetric positive definite collision
-systems (conjugate gradient), tridiagonal collision systems (Thomas
-elimination), and the periodic macro system of the implicit-diffusion
-variant (cyclic Thomas via a rank-one correction).  All routines are pure
-functions with fixed-order reductions, so identical inputs give
-bitwise-identical outputs.
+Two kinds of collision systems appear: symmetric positive definite ones
+given only as a map (conjugate gradient), and banded ones, tridiagonal or
+tridiagonal with periodic corners.  A banded system is inverted once, in
+LAPACK (``gtsv`` on the identity, plus a Sherman-Morrison rank-one
+correction for the corners), and every later solve is one matrix product
+with that dense inverse.  The inverse holds n^2 numbers, so the factors are
+meant for velocity-sized systems (n = 2N, up to a few hundred) that are
+solved against one right-hand side per cell at every step.  The periodic
+macro system of the implicit-diffusion variant is circulant and is solved
+by FFT in ``scheme.Stepper``, not here.
 
-Factorizations are exposed separately from the one-shot solvers because
-the time stepper solves the same matrix against fresh right-hand sides at
-every step; factoring once and reusing the substitution phase is what
-keeps long runs cheap.
+All routines are pure functions, so identical inputs give bitwise-identical
+outputs on one machine.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ConfigurationError, SolverError
 
@@ -158,86 +161,79 @@ def conjugate_gradient(
 
 @dataclass(frozen=True)
 class TridiagonalFactor:
-    """LU factorization of a non-cyclic tridiagonal matrix, no pivoting.
+    """Dense inverse of a non-cyclic tridiagonal matrix.
 
-    ``multipliers`` are the forward-elimination coefficients l_i, and
-    ``inv_pivots`` the reciprocals of the eliminated diagonal.  The
-    substitution phase accepts stacked right-hand sides of shape (n,) or
-    (n, m) and runs vectorized across the m columns.
+    ``solve(b)`` is one matrix product, ``inverse @ b``, for right-hand
+    sides of shape (n,) or (n, m).  The factor holds n^2 numbers, so it is
+    meant for velocity-sized systems (n up to a few hundred) that are solved
+    against many right-hand sides, such as the per-cell collision system.
     """
 
-    multipliers: np.ndarray
-    inv_pivots: np.ndarray
-    sup: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.inv_pivots)
+    inverse: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        single = b.ndim == 1
-        y = b.reshape(self.size, -1).copy()
-        n = self.size
-        for i in range(1, n):
-            y[i] -= self.multipliers[i - 1] * y[i - 1]
-        y[n - 1] *= self.inv_pivots[n - 1]
-        for i in range(n - 2, -1, -1):
-            y[i] = (y[i] - self.sup[i] * y[i + 1]) * self.inv_pivots[i]
-        return y[:, 0] if single else y
+        return self.inverse @ b
+
+
+def _check_pivots(system: TridiagonalSystem) -> None:
+    """Raise SolverError naming the first row whose elimination pivot,
+    without row exchanges, vanishes relative to the largest entry."""
+    sub, diag, sup = system.sub.tolist(), system.diag.tolist(), system.sup.tolist()
+    scale = max(
+        max(map(abs, diag)),
+        max(map(abs, sub), default=0.0),
+        max(map(abs, sup), default=0.0),
+        1e-300,
+    )
+    pivot = diag[0]
+    for i in range(len(diag)):
+        if i > 0:
+            pivot = diag[i] - sub[i - 1] / pivot * sup[i - 1]
+        if abs(pivot) <= 1e-14 * scale:
+            raise SolverError(f"zero pivot in row {i} during tridiagonal elimination")
+
+
+def _tridiagonal_inverse(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """The inverse, from LAPACK ``gtsv`` applied to the identity."""
+    n = len(diag)
+    if n == 1:
+        # the gtsv wrapper rejects empty off-diagonal bands
+        return np.array([[1.0 / diag[0]]])
+    *_, inverse, info = lapack.dgtsv(sub, diag, sup, np.eye(n, order="F"), overwrite_b=True)
+    if info > 0:
+        raise SolverError(f"singular tridiagonal matrix: zero pivot in row {info - 1}")
+    return inverse
 
 
 def factor_tridiagonal(system: TridiagonalSystem) -> TridiagonalFactor:
-    """Eliminate once; raises SolverError naming the row of a zero pivot."""
+    """Invert once; raises SolverError naming the row of a zero pivot."""
     if system.cyclic:
         raise ConfigurationError(
             "factor_tridiagonal handles non-cyclic systems; use factor_cyclic"
         )
-    n = system.size
-    scale = max(
-        float(np.abs(system.diag).max()),
-        float(np.abs(system.sub).max()) if n > 1 else 0.0,
-        float(np.abs(system.sup).max()) if n > 1 else 0.0,
-        1e-300,
-    )
-    pivots = np.empty(n)
-    multipliers = np.empty(max(n - 1, 0))
-    pivots[0] = system.diag[0]
-    if abs(pivots[0]) <= 1e-14 * scale:
-        raise SolverError("zero pivot in row 0 during tridiagonal elimination")
-    for i in range(1, n):
-        multipliers[i - 1] = system.sub[i - 1] / pivots[i - 1]
-        pivots[i] = system.diag[i] - multipliers[i - 1] * system.sup[i - 1]
-        if abs(pivots[i]) <= 1e-14 * scale:
-            raise SolverError(f"zero pivot in row {i} during tridiagonal elimination")
-    return TridiagonalFactor(multipliers, 1.0 / pivots, system.sup.copy())
+    _check_pivots(system)
+    return TridiagonalFactor(_tridiagonal_inverse(system.sub, system.diag, system.sup))
 
 
 def thomas_solve(system: TridiagonalSystem, b: np.ndarray) -> np.ndarray:
-    """One-shot Thomas elimination; ``b`` may be (n,) or (n, m)."""
+    """One-shot solve of a non-cyclic system; ``b`` may be (n,) or (n, m)."""
     return factor_tridiagonal(system).solve(b)
 
 
 @dataclass(frozen=True)
-class CyclicTridiagonalFactor:
-    """Sherman-Morrison split of a cyclic tridiagonal matrix.
+class CyclicTridiagonalFactor(TridiagonalFactor):
+    """Dense inverse of a cyclic tridiagonal matrix.
 
-    The corner entries are folded into a rank-one update A = T + u v^T;
-    ``z`` stores T^{-1} u so each solve costs one substitution plus a
-    scalar correction.
+    Built from the Sherman-Morrison split A = T + u v^T, where T is
+    tridiagonal and the rank-one term carries the corner entries:
+    A^{-1} = T^{-1} - (T^{-1} u)(v^T T^{-1}) / (1 + v^T T^{-1} u).  Like
+    ``TridiagonalFactor`` it holds n^2 numbers and suits velocity-sized
+    systems; ``solve(b)`` is ``inverse @ b``.
     """
 
-    base: TridiagonalFactor
-    z: np.ndarray
-    v_last: float
-    denom: float
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self.base.solve(b)
-        weight = (y[0] + self.v_last * y[-1]) / self.denom
-        if y.ndim == 1:
-            return y - weight * self.z
-        return y - np.outer(self.z, weight)
+    # each class owns its ``solve``, so it can be looked up and replaced
+    # per class (bench/spans.py wraps the two separately)
+    solve = TridiagonalFactor.solve
 
 
 def factor_cyclic(system: TridiagonalSystem) -> CyclicTridiagonalFactor:
@@ -253,20 +249,17 @@ def factor_cyclic(system: TridiagonalSystem) -> CyclicTridiagonalFactor:
     diag = system.diag.copy()
     diag[0] -= gamma
     diag[-1] -= alpha * beta / gamma
-    base = factor_tridiagonal(
-        TridiagonalSystem(system.sub.copy(), diag, system.sup.copy())
-    )
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = alpha
-    z = base.solve(u)
+    inverse = factor_tridiagonal(TridiagonalSystem(system.sub, diag, system.sup)).inverse
+    # u = gamma e_0 + alpha e_{n-1}, v = e_0 + (beta / gamma) e_{n-1}
+    z = gamma * inverse[:, 0] + alpha * inverse[:, -1]
     v_last = beta / gamma
     denom = 1.0 + z[0] + v_last * z[-1]
     if abs(denom) <= 1e-14:
         raise SolverError(
             "singular reduced system in cyclic tridiagonal factorization"
         )
-    return CyclicTridiagonalFactor(base, z, v_last, denom)
+    inverse -= np.outer(z / denom, inverse[0] + v_last * inverse[-1])
+    return CyclicTridiagonalFactor(inverse)
 
 
 def cyclic_thomas_solve(system: TridiagonalSystem, b: np.ndarray) -> np.ndarray:

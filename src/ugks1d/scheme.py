@@ -15,12 +15,14 @@ so one scheme serves every regime: A -> 1/eta recovers the upwind
 transport scheme, and A -> 0, D -> 1/(sigma lambda_star) recovers an
 explicit heat-equation step.  Collisions are implicit: each cell solves
 (I - c D_op) F = rhs with c = sigma dt/(eps eta).  ``Stepper`` prepares
-that solve once per run: a scalar divide for BGK, a factored (cyclic)
-Thomas solve for a banded matrix, conjugate gradient for any other.
+that solve once per run: a scalar divide for BGK, the dense inverse of a
+banded (tridiagonal or cyclic) matrix, applied to every cell as one matrix
+product, and conjugate gradient for any other.
 
 The implicit-diffusion variant instead closes the density update on the
 new-time gradient, solving one periodic tridiagonal macro system per
-step; its collision stage is unchanged.
+step; the system is circulant, so it is solved by FFT against its
+eigenvalues.  Its collision stage is unchanged.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ from .velocity_space import CollisionOperator, OperatorKind, VelocityGrid
 _UNDERFLOW = -700.0
 # largest relative mass drift run() accepts; a sound run drifts by round-off
 MASS_DRIFT_MAX = 1e-9
+# run() also checks the mass every this many steps, not only at snapshots.
+# The check is one sum over the cells, cheap next to a step; an unstable
+# step can multiply the state by 1e2 or more, so a short period stops a
+# blow-up long before anything overflows.
+BLOWUP_CHECK_EVERY = 2
 
 
 class Variant(enum.Enum):
@@ -192,10 +199,10 @@ class Stepper:
     """One run's update, with every per-run quantity computed once.
 
     Built from the operator and the parameters alone: the flux
-    coefficients, the half-moment weights, the factored collision system
-    and (for the implicit-diffusion variant) the macro system, which is
-    factored on the first step because it needs the cell count.  The
-    variant is ``params.variant``.
+    coefficients, the half-moment weights and the inverted collision
+    system.  The eigenvalues of the implicit-diffusion macro system depend
+    on the cell count, so they are computed on the first step with each
+    cell count and kept.  The variant is ``params.variant``.
 
     Collision solves run in fluctuation form: with m = rho^{n+1} known
     from the macro update, F = m 1 + G and (I - cD) G = rhs - m 1.  The
@@ -206,9 +213,9 @@ class Stepper:
 
     The implicit-diffusion macro system (I + mu Lap) rho^{n+1} =
     rho^n - (dt A/dx) diff(J), with mu = dt <V,V>/(2N) D_coef / dx^2 < 0,
-    is symmetric positive definite and diagonally dominant, so the cyclic
-    elimination cannot hit a zero pivot; the kinetic fluxes then use the
-    new-time gradient.
+    is circulant with eigenvalues 1 - 4 mu sin^2(pi k/nx) >= 1, so the
+    division in Fourier space is always safe; the kinetic fluxes then use
+    the new-time gradient.
     """
 
     def __init__(self, op: CollisionOperator, params: SchemeParams):
@@ -230,9 +237,10 @@ class Stepper:
         self.du_v = (op.lambda_star * op.u_vector * v)[None, :]
         self.vv_mean = float(v @ v) / n
         self.c = params.stiffness
+        self.macro_mu = params.dt * self.vv_mean * self.coeffs.d_coef / params.dx**2
+        self._macro_eigenvalues: dict[int, np.ndarray] = {}
         self._collision_factor = None
         self._collision_apply = None
-        self._macro_factor = None
         if op.kind is not OperatorKind.BGK:
             c = self.c
             matrix = op.matrix
@@ -267,19 +275,14 @@ class Stepper:
         return rho_new[:, None] + g
 
     def _solve_macro(self, rhs_rho: np.ndarray) -> np.ndarray:
+        """Solve the circulant system (1 - 2 mu, mu, mu) rho = rhs by FFT."""
         nx = rhs_rho.shape[0]
-        if self._macro_factor is None or self._macro_factor.base.size != nx:
-            p = self.params
-            mu = p.dt * self.vv_mean * self.coeffs.d_coef / p.dx**2
-            system = TridiagonalSystem(
-                sub=np.full(nx - 1, mu),
-                diag=np.full(nx, 1.0 - 2.0 * mu),
-                sup=np.full(nx - 1, mu),
-                corner_upper=mu,
-                corner_lower=mu,
-            )
-            self._macro_factor = factor_cyclic(system)
-        return self._macro_factor.solve(rhs_rho)
+        eigenvalues = self._macro_eigenvalues.get(nx)
+        if eigenvalues is None:
+            k = np.arange(nx // 2 + 1)
+            eigenvalues = 1.0 - 4.0 * self.macro_mu * np.sin(np.pi * k / nx) ** 2
+            self._macro_eigenvalues[nx] = eigenvalues
+        return np.fft.irfft(np.fft.rfft(rhs_rho) / eigenvalues, n=nx)
 
     def step(self, state: KineticState) -> KineticState:
         """Advance one time step of the parameters' variant."""
@@ -322,14 +325,17 @@ class RunResult:
     snapshots: list[Snapshot]
     steps: int
     seconds_per_step: float
+    mass_scale: float  # initial mass of |rho|, the unit of mass_drift
 
     @property
     def mass_drift(self) -> float:
-        """Largest signed relative drift of the total mass over the snapshots."""
-        if not self.snapshots:
+        """Largest signed drift of the total mass over the snapshots,
+        relative to the initial mass of |rho| (the initial mass itself when
+        rho >= 0), so it stays defined when the initial mass is zero."""
+        if not self.snapshots or self.mass_scale == 0.0:
             return 0.0
         m0 = self.snapshots[0].mass
-        drifts = [(s.mass - m0) / m0 for s in self.snapshots]
+        drifts = [(s.mass - m0) / self.mass_scale for s in self.snapshots]
         return max(drifts, key=abs)
 
 
@@ -347,10 +353,11 @@ def run(
     each requested time (no interpolation).  The initial state counts for
     snapshot times at or before t0.
 
-    Exactly one of ``t_end`` / ``n_steps`` must be given.  Every snapshot,
-    the final one included, must have a finite f and a mass within
-    ``MASS_DRIFT_MAX`` of the initial one, relative to the initial mass of
-    |rho|; otherwise the run has blown up (typically dt beyond the
+    Exactly one of ``t_end`` / ``n_steps`` must be given.  Every
+    ``BLOWUP_CHECK_EVERY`` steps and at every snapshot, the final one
+    included, the mass must be within ``MASS_DRIFT_MAX`` of the initial one,
+    relative to the initial mass of |rho|, and at snapshots f must also be
+    finite; otherwise the run has blown up (typically dt beyond the
     stability limit) and SolverError names the step and time.
     """
     if (t_end is None) == (n_steps is None):
@@ -366,15 +373,24 @@ def run(
 
     dx_mass = params.dx
     m0 = dx_mass * float(state.rho.sum())
-    mass_tol = MASS_DRIFT_MAX * dx_mass * float(np.abs(state.rho).sum())
+    mass_scale = dx_mass * float(np.abs(state.rho).sum())
+    mass_tol = MASS_DRIFT_MAX * mass_scale
     snapshots = [Snapshot(state.t, 0, state.rho.copy(), m0)]
 
-    def take_snapshot(state: KineticState, step: int) -> None:
+    def checked_mass(state: KineticState, step: int, check_f: bool) -> float:
         mass = dx_mass * float(state.rho.sum())
-        finite = bool(np.isfinite(state.f).all())
+        finite = math.isfinite(mass) and (not check_f or bool(np.isfinite(state.f).all()))
         if not (finite and abs(mass - m0) <= mass_tol):
-            what = f"mass {m0:.6e} -> {mass:.6e}" if finite else "non-finite state"
+            what = (
+                f"mass {m0:.6e} -> {mass:.6e}, drift {mass - m0:.1e} beyond {mass_tol:.1e}"
+                if finite
+                else "non-finite state"
+            )
             raise SolverError(f"blow-up at step {step}, t = {state.t:.6g}: {what}")
+        return mass
+
+    def take_snapshot(state: KineticState, step: int) -> None:
+        mass = checked_mass(state, step, check_f=True)
         snapshots.append(Snapshot(state.t, step, state.rho.copy(), mass))
 
     pending = sorted(snapshot_times)
@@ -385,10 +401,12 @@ def run(
     started = _time.perf_counter()
     for k in range(n_steps):
         state = stepper.step(state)
+        if (k + 1) % BLOWUP_CHECK_EVERY == 0:
+            checked_mass(state, k + 1, check_f=False)
         while pending and state.t >= pending[0] - 1e-12:
             pending.pop(0)
             take_snapshot(state, k + 1)
     elapsed = _time.perf_counter() - started
     if n_steps > 0 and snapshots[-1].step != n_steps:
         take_snapshot(state, n_steps)
-    return RunResult(state, snapshots, n_steps, elapsed / max(n_steps, 1))
+    return RunResult(state, snapshots, n_steps, elapsed / max(n_steps, 1), mass_scale)

@@ -91,6 +91,12 @@ def test_thomas_matches_dense_solve():
         )
 
 
+def test_thomas_single_row():
+    system = TridiagonalSystem(np.empty(0), np.array([4.0]), np.empty(0))
+    np.testing.assert_array_equal(thomas_solve(system, np.array([2.0])), [0.5])
+    np.testing.assert_array_equal(thomas_solve(system, np.array([[2.0, 8.0]])), [[0.5, 2.0]])
+
+
 def test_thomas_stacked_right_hand_sides():
     rng = np.random.default_rng(12)
     system = random_tridiagonal(rng, 15)

@@ -1,6 +1,9 @@
 """Presets, config loading, reporting, sweeps, and the CLI surface."""
 
+import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -459,7 +462,7 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
 
 def test_cli_blow_up_exits_3_without_csv(tmp_path, capsys):
     # dt = 1e-3 is far beyond the diffusive preset's stability limit: the
-    # mass drifts by orders of magnitude while the state stays finite
+    # mass drifts beyond round-off within a few steps, while f is finite
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"preset": "diffusive", "dt": 1e-3}))
     out = tmp_path / "out"
@@ -469,6 +472,29 @@ def test_cli_blow_up_exits_3_without_csv(tmp_path, capsys):
     assert code == 3
     assert captured.err.startswith("solver-error:")
     assert list(out.iterdir()) == []
+
+
+def test_blow_up_stops_before_the_only_snapshot(tmp_path):
+    # "dt": "auto" ignores eps/eta, so this run is unstable from its first
+    # step; its one snapshot is its last step, and the periodic mass check
+    # must stop it before then
+    config = tmp_path / "unstable.json"
+    config.write_text(json.dumps({
+        "operator": "bgk", "eta": 1e-3, "epsilon": 1.0, "nx": 20, "nv": 20,
+        "dt": "auto", "t_snapshots": [0.01],
+    }))
+    scenario = load_scenario(config)
+    n_steps = math.ceil(scenario.t_end / scenario.resolved_dt)
+    with pytest.raises(SolverError, match="blow-up at step") as info:
+        run_scenario(scenario)
+    step = int(re.search(r"step (\d+),", str(info.value)).group(1))
+    assert step < n_steps
+    # a far longer horizon stops at the same step, before anything overflows
+    longer = dataclasses.replace(scenario, t_snapshots=(1.0,))
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(
+        SolverError, match=f"blow-up at step {step},"
+    ):
+        run_scenario(longer)
 
 
 def test_cli_solver_and_internal_error_exit_codes(monkeypatch, capsys):

@@ -292,6 +292,41 @@ def test_collision_solve_keeps_mean_exact_under_extreme_stiffness():
     np.testing.assert_allclose(solved.mean(axis=1), rho_new, rtol=0, atol=5e-15)
 
 
+@pytest.mark.parametrize("name", ["fp", "sc"])
+@pytest.mark.parametrize("nv", [8, 100, 400])
+def test_collision_inverse_matches_dense_solve_under_extreme_stiffness(name, nv):
+    op = BUILDERS[name](build_grid(nv // 2))
+    params = make_params(eta=1e-4, epsilon=1e-4, dt=1e-5)  # c = 1e3
+    ws = Stepper(op, params)
+    rng = np.random.default_rng(nv)
+    rhs = 1.0 + rng.random((6, nv))
+    rho_new = rhs.mean(axis=1)
+    # the reference solves for the fluctuation about rho_new too: solving for
+    # F itself rounds the constant component through a matrix with entries
+    # of order c nv^2, which moves the mean of F by 2e-10 at nv = 400
+    fluctuation = rhs - rho_new[:, None]
+    expected = rho_new[:, None] + np.linalg.solve(np.eye(nv) - ws.c * op.matrix, fluctuation.T).T
+    np.testing.assert_allclose(ws.solve_collision(rhs, rho_new), expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("nx", [3, 4, 7, 100])
+def test_macro_fft_solve_matches_dense_circulant_solve(nx):
+    op = build_bgk(build_grid(5))
+    params = make_params(eta=1e-2, epsilon=1e-2, dt=1e-3, dx=1.0 / nx,
+                         variant=Variant.IMPLICIT_DIFFUSION)
+    ws = Stepper(op, params)
+    mu = ws.macro_mu
+    assert mu < 0
+    circulant = np.zeros((nx, nx))
+    for i in range(nx):
+        circulant[i, i] += 1.0 - 2.0 * mu
+        circulant[i, (i + 1) % nx] += mu
+        circulant[i, (i - 1) % nx] += mu
+    rhs = np.random.default_rng(nx).standard_normal(nx)
+    expected = np.linalg.solve(circulant, rhs)
+    np.testing.assert_allclose(ws._solve_macro(rhs), expected, rtol=0, atol=1e-13)
+
+
 # ----------------------------------------------------------- single-step laws
 
 
@@ -375,6 +410,19 @@ def test_step_is_linear(case, a, b):
     expected = KineticState(a * out1.f + b * out2.f, a * out1.rho + b * out2.rho, out1.t)
     scale = max(np.abs(out1.f).max(), np.abs(out2.f).max())
     assert_states_close(stepper.step(combined), expected, scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases())
+def test_step_is_bitwise_deterministic(case):
+    # two steppers built from the same operator and parameters
+    stepper, nx, seed = case
+    twin = Stepper(stepper.op, stepper.params)
+    first = second = normal_state(np.random.default_rng(seed), nx, stepper.op.size)
+    for _ in range(3):
+        first, second = stepper.step(first), twin.step(second)
+    assert np.array_equal(first.f, second.f)
+    assert np.array_equal(first.rho, second.rho)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -512,6 +560,21 @@ def test_run_snapshot_placement():
     assert [snap.step for snap in result.snapshots] == [0, 4]
     for snap in result.snapshots:
         np.testing.assert_allclose(snap.mass, params.dx * snap.rho.sum(), rtol=1e-15)
+
+
+def test_mass_drift_of_a_mean_zero_density():
+    # rows of alternating +-1: rho = 0 in every cell and the mass is zero
+    op = build_bgk(build_grid(2))
+    f = np.tile([1.0, -1.0, 1.0, -1.0], (5, 1))
+    state = KineticState(f, f.mean(axis=1), 0.0)
+    result = run(state, make_params(dx=0.2), op, op.grid, n_steps=3)
+    assert result.mass_drift == 0.0
+    # cells of +-1: zero mass, so the drift is relative to the mass of |rho|
+    f = np.repeat([[1.0], [-1.0], [1.0], [-1.0], [1.0], [-1.0]], 4, axis=1)
+    state = KineticState(f, f.mean(axis=1), 0.0)
+    result = run(state, make_params(dx=1.0 / 6), op, op.grid, n_steps=3)
+    assert result.mass_scale == pytest.approx(1.0)
+    assert abs(result.mass_drift) <= 1e-14
 
 
 def test_run_reports_timing():
