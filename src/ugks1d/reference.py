@@ -96,7 +96,13 @@ def exact_diffusion_density(t: float, x, kappa_abs: float, data: InitialData | N
     shifts = x[:, None] - y[None, :]
     kernel = np.zeros_like(shifts)
     norm = 1.0 / math.sqrt(4.0 * math.pi * kt)
+    lo, hi = float(shifts.min()), float(shifts.max())
     for j in range(-n_images, n_images + 1):
+        # every term of an image underflows to exactly 0.0 once its
+        # exponent, at the shift nearest to -j, is beyond 746
+        nearest = min(max(-j, lo), hi)
+        if (nearest + j) ** 2 / (4.0 * kt) > 746.0:
+            continue
         kernel += np.exp(-((shifts + j) ** 2) / (4.0 * kt))
     kernel *= norm
     values = simpson(kernel * data.rho0(y)[None, :], x=y, axis=1)

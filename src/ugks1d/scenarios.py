@@ -352,15 +352,13 @@ class ErrorReport:
 
 def write_snapshot_csv(path: Path, x: np.ndarray, rho: np.ndarray, rho_ref=None) -> None:
     """17 significant digits so a reload reproduces the arrays bitwise."""
+    columns = {"x": x, "rho": rho}
+    if rho_ref is not None:
+        columns.update(rho_ref=rho_ref, abs_err=np.abs(np.subtract(rho, rho_ref)))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns.values()))
     with open(path, "w", newline="") as handle:
-        if rho_ref is None:
-            handle.write("x,rho\n")
-            for xi, ri in zip(x, rho):
-                handle.write(f"{xi:.17g},{ri:.17g}\n")
-        else:
-            handle.write("x,rho,rho_ref,abs_err\n")
-            for xi, ri, gi in zip(x, rho, rho_ref):
-                handle.write(f"{xi:.17g},{ri:.17g},{gi:.17g},{abs(ri - gi):.17g}\n")
+        handle.write(",".join(columns) + "\n" + "".join(row % values for values in rows))
 
 
 def read_snapshot_csv(path: Path) -> dict[str, np.ndarray]:

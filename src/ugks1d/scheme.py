@@ -13,7 +13,15 @@ the interpolation weights are the coefficients
 
 so one scheme serves every regime: A -> 1/eta recovers the upwind
 transport scheme, and A -> 0, D -> 1/(sigma lambda_star) recovers an
-explicit heat-equation step.  Collisions are implicit: each cell solves
+explicit heat-equation step.  The kinetic update never forms the flux
+phi itself, only its difference across a cell,
+
+    phi_i - phi_{i-1} = A V (upwind difference)
+                        + (jump of the edge density) C V
+                        + (jump of the density gradient) D lambda_star U V,
+
+an upwind difference of F (two slice subtractions) plus one rank-two
+product.  Collisions are implicit: each cell solves
 (I - c D_op) F = rhs with c = sigma dt/(eps eta).  ``Stepper`` prepares
 that solve once per run: a scalar divide for BGK, the dense inverse of a
 banded (tridiagonal or cyclic) matrix, applied to every cell as one matrix
@@ -33,6 +41,7 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import ConfigurationError, SolverError
 from .linalg import (
@@ -177,32 +186,41 @@ def _cyclic_bands(matrix: np.ndarray) -> TridiagonalSystem | None:
     n = matrix.shape[0]
     if n < 3:
         return None
-    allowed = np.zeros((n, n), dtype=bool)
-    idx = np.arange(n)
-    allowed[idx, idx] = True
-    allowed[idx[:-1], idx[:-1] + 1] = True
-    allowed[idx[:-1] + 1, idx[:-1]] = True
-    allowed[0, n - 1] = True
-    allowed[n - 1, 0] = True
-    if np.any(matrix[~allowed] != 0.0):
-        return None
-    return TridiagonalSystem(
-        sub=matrix[idx[1:], idx[1:] - 1].copy(),
-        diag=matrix[idx, idx].copy(),
-        sup=matrix[idx[:-1], idx[:-1] + 1].copy(),
+    bands = TridiagonalSystem(
+        sub=np.diagonal(matrix, -1).copy(),
+        diag=np.diagonal(matrix).copy(),
+        sup=np.diagonal(matrix, 1).copy(),
         corner_upper=float(matrix[0, n - 1]),
         corner_lower=float(matrix[n - 1, 0]),
     )
+    on_bands = (
+        np.count_nonzero(bands.sub)
+        + np.count_nonzero(bands.diag)
+        + np.count_nonzero(bands.sup)
+        + (bands.corner_upper != 0.0)
+        + (bands.corner_lower != 0.0)
+    )
+    return bands if np.count_nonzero(matrix) == on_bands else None
 
 
 class Stepper:
     """One run's update, with every per-run quantity computed once.
 
     Built from the operator and the parameters alone: the flux
-    coefficients, the half-moment weights and the inverted collision
-    system.  The eigenvalues of the implicit-diffusion macro system depend
-    on the cell count, so they are computed on the first step with each
-    cell count and kept.  The variant is ``params.variant``.
+    coefficients, the half-moment weights, the rows of the flux difference
+    and the inverted collision system.  The eigenvalues of the
+    implicit-diffusion macro system depend on the cell count, so they are
+    computed on the first step with each cell count and kept.  The variant
+    is ``params.variant``.
+
+    The kinetic update F - (dt/dx)(phi_i - phi_{i-1}) is built term by
+    term in the one array that becomes the new F.  With the negative
+    velocities first, the upwind difference is F_i - F_{i-1} on the
+    positive half and F_{i+1} - F_i on the negative half, two slice
+    subtractions that wrap one row each, times -(dt/dx) A V.  The jumps of
+    the edge density and of the density gradient form an (nx, 2) array
+    whose product with the rows -(dt/dx) C V and -(dt/dx) D lambda_star U V
+    BLAS adds in place.  The collision stage then works on the same array.
 
     Collision solves run in fluctuation form: with m = rho^{n+1} known
     from the macro update, F = m 1 + G and (I - cD) G = rhs - m 1.  The
@@ -226,15 +244,20 @@ class Stepper:
         n = grid.size
         half = grid.half_count
         v = grid.velocities
-        self.v_row = v[None, :]
-        self.positive = (v > 0)[None, :]
+        self._half = half
         weights = np.zeros((n, 4))
         weights[:half, 0] = 1.0 / n
         weights[half:, 1] = 1.0 / n
         weights[:half, 2] = v[:half] / n
         weights[half:, 3] = v[half:] / n
         self.moment_weights = weights
-        self.du_v = (op.lambda_star * op.u_vector * v)[None, :]
+        # the rows of the flux difference, each times -dt/dx: a V for the
+        # upwind difference, then c V and d lambda* U V for the rank-two term
+        scale = -params.dt / params.dx
+        self.upwind_row = scale * self.coeffs.a_coef * v
+        self.rank_two_rows = scale * np.stack(
+            (self.coeffs.c_coef * v, self.coeffs.d_coef * op.lambda_star * op.u_vector * v)
+        )
         self.vv_mean = float(v @ v) / n
         self.c = params.stiffness
         self.macro_mu = params.dt * self.vv_mean * self.coeffs.d_coef / params.dx**2
@@ -256,23 +279,31 @@ class Stepper:
 
     def solve_collision(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
         """Solve (I - cD) F = rhs cell by cell, given the updated density."""
-        g_rhs = rhs - rho_new[:, None]
+        return self._collide(np.array(rhs, dtype=float), rho_new)
+
+    def _collide(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
+        """Solve (I - cD) F = rhs in fluctuation form and return F.
+
+        Overwrites ``rhs``; F is ``rhs``'s own storage except after the
+        banded factor's matrix product, which makes a new array.
+        """
+        g = rhs
+        g -= rho_new[:, None]
         if self.op.kind is OperatorKind.BGK:
             # D = P0 - I makes the fluctuation system diagonal
-            g = g_rhs / (1.0 + self.c)
+            g /= 1.0 + self.c
         elif self._collision_factor is not None:
-            g = self._collision_factor.solve(g_rhs.T).T
+            g = self._collision_factor.solve(g.T).T
         else:
-            g = np.empty_like(g_rhs)
-            for i in range(g_rhs.shape[0]):
+            for i in range(g.shape[0]):
                 try:
-                    g[i] = conjugate_gradient(self._collision_apply, g_rhs[i]).x
+                    g[i] = conjugate_gradient(self._collision_apply, g[i]).x
                 except SolverError as exc:
                     raise SolverError(
                         f"collision solve failed in cell {i}: {exc}", best=exc.best
                     ) from exc
-        g -= g.mean(axis=1, keepdims=True)
-        return rho_new[:, None] + g
+        g += (rho_new - g.mean(axis=1))[:, None]
+        return g
 
     def _solve_macro(self, rhs_rho: np.ndarray) -> np.ndarray:
         """Solve the circulant system (1 - 2 mu, mu, mu) rho = rhs by FFT."""
@@ -289,8 +320,8 @@ class Stepper:
         p = self.params
         co = self.coeffs
         f, rho = state.f, state.rho
+        h = self._half
         moments = f @ self.moment_weights
-        upwind = np.where(self.positive, f, np.roll(f, -1, axis=0))
         edge_rho = moments[:, 1] + np.roll(moments[:, 0], -1)
         edge_j = moments[:, 3] + np.roll(moments[:, 2], -1)
 
@@ -303,12 +334,25 @@ class Stepper:
             rho_new = self._solve_macro(rhs_rho)
             grad = (np.roll(rho_new, -1) - rho_new) / p.dx
 
-        phi = (co.a_coef * upwind + (co.c_coef * edge_rho)[:, None]) * self.v_row + (
-            co.d_coef * grad
-        )[:, None] * self.du_v
-        rhs = f - (p.dt / p.dx) * (phi - np.roll(phi, 1, axis=0))
-        f_new = self.solve_collision(rhs, rho_new)
-        return KineticState(f_new, rho_new, state.t + p.dt)
+        # f - dt/dx (phi_i - phi_{i-1}), differenced term by term; the rows
+        # carry the -dt/dx.  The upwind term a V (f_i - f_{i-1}) where V > 0
+        # and a V (f_{i+1} - f_i) where V < 0 (the negative velocities come first):
+        f_new = np.empty(f.shape)
+        np.subtract(f[1:, h:], f[:-1, h:], out=f_new[1:, h:])
+        np.subtract(f[0, h:], f[-1, h:], out=f_new[0, h:])
+        np.subtract(f[1:, :h], f[:-1, :h], out=f_new[:-1, :h])
+        np.subtract(f[0, :h], f[-1, :h], out=f_new[-1, :h])
+        f_new *= self.upwind_row
+        # the jumps of edge_rho and grad against the rows c V and d lambda* U V,
+        # one (nx, 2) @ (2, nv) product that BLAS adds to f_new in place
+        jumps = np.empty((f.shape[0], 2))
+        np.subtract(edge_rho, np.roll(edge_rho, 1), out=jumps[:, 0])
+        np.subtract(grad, np.roll(grad, 1), out=jumps[:, 1])
+        f_new = dgemm(
+            1.0, self.rank_two_rows.T, jumps.T, beta=1.0, c=f_new.T, overwrite_c=True
+        ).T
+        f_new += f
+        return KineticState(self._collide(f_new, rho_new), rho_new, state.t + p.dt)
 
 
 @dataclass(frozen=True)

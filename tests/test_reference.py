@@ -143,6 +143,23 @@ def test_diffusion_reference_satisfies_heat_equation():
     assert float(np.abs(dt_rho - kappa * lap).max()) <= 1e-5
 
 
+@pytest.mark.parametrize("t", [0.005, 0.05, 0.1])
+@pytest.mark.parametrize("kappa", [1.0 / 3.0, 0.5, 0.0333])
+def test_diffusion_reference_skipping_underflowing_images_is_bitwise(t, kappa):
+    # the full sum over every periodic image, without the underflow skip
+    x = (np.arange(100) + 0.5) / 100
+    kt = kappa * t
+    n_images = max(10, int(math.ceil(6.0 * math.sqrt(2.0 * kt))))
+    y = np.linspace(0.0, 1.0, 2001)
+    shifts = x[:, None] - y[None, :]
+    kernel = np.zeros_like(shifts)
+    for j in range(-n_images, n_images + 1):
+        kernel += np.exp(-((shifts + j) ** 2) / (4.0 * kt))
+    kernel *= 1.0 / math.sqrt(4.0 * math.pi * kt)
+    full = simpson(kernel * make_initial_data().rho0(y)[None, :], x=y, axis=1)
+    assert np.array_equal(exact_diffusion_density(t, x, kappa), full)
+
+
 def test_diffusion_reference_rejects_bad_arguments():
     with pytest.raises(ConfigurationError, match="t > 0"):
         exact_diffusion_density(0.0, 0.5, 1.0)

@@ -166,6 +166,31 @@ def test_snapshot_csv_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(back["abs_err"], np.abs(rho - ref))
 
 
+def _per_row_csv(x, rho, rho_ref=None):
+    """The earlier writer's bytes: one formatted row of numpy scalars at a time."""
+    if rho_ref is None:
+        rows = [f"{xi:.17g},{ri:.17g}\n" for xi, ri in zip(x, rho)]
+        return "x,rho\n" + "".join(rows)
+    rows = [
+        f"{xi:.17g},{ri:.17g},{gi:.17g},{abs(ri - gi):.17g}\n"
+        for xi, ri, gi in zip(x, rho, rho_ref)
+    ]
+    return "x,rho,rho_ref,abs_err\n" + "".join(rows)
+
+
+def test_snapshot_csv_bytes_match_per_row_format(tmp_path):
+    rng = np.random.default_rng(37)
+    x = (np.arange(40) + 0.5) / 40
+    rho = rng.standard_normal(40)
+    rho[:4] = [0.0, -0.0, 5e-324, -2.5e-310]
+    ref = rho + 1e-3 * rng.standard_normal(40)
+    ref[:3] = [0.0, 1e-320, -5e-324]
+    for args in ((x, rho), (x, rho, ref)):
+        path = tmp_path / "snap.csv"
+        write_snapshot_csv(path, *args)
+        assert path.read_bytes() == _per_row_csv(*args).encode()
+
+
 def test_read_snapshot_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_snapshot_csv(tmp_path / "absent.csv")

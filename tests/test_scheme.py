@@ -21,6 +21,7 @@ from ugks1d.scheme import (
     SchemeParams,
     Stepper,
     Variant,
+    _cyclic_bands,
     _expm1_over_w,
     default_time_step,
     duhamel_bracket,
@@ -258,26 +259,30 @@ def test_collision_solve_matches_dense_reference(name):
     np.testing.assert_allclose(solved.mean(axis=1), rho_new, atol=1e-14)
 
 
-def test_collision_solve_dense_operator_falls_back_to_cg():
-    # a dense SPD-structured operator has no band form; the per-cell
-    # conjugate-gradient route must agree with a dense solve
-    grid = build_grid(4)
+def dense_operator(grid):
+    """A dense SPD-structured operator: it has no band form, so its
+    collision solve takes the per-cell conjugate-gradient route."""
     matrix = 0.5 * (build_scattering(grid).matrix + build_bgk(grid).matrix)
     u, lam = compute_u_and_lambda(matrix, grid.velocities)
-    op = CollisionOperator(
+    return CollisionOperator(
         kind=OperatorKind.SCATTERING_PERIODIC,
         grid=grid,
         matrix=matrix,
         lambda_star=lam,
         u_vector=u,
     )
+
+
+def test_collision_solve_dense_operator_falls_back_to_cg():
+    # the conjugate-gradient route must agree with a dense solve
+    op = dense_operator(build_grid(4))
     params = make_params(eta=0.5, epsilon=0.5, dt=1e-2)
     ws = Stepper(op, params)
     assert ws._collision_factor is None and ws._collision_apply is not None
     rng = np.random.default_rng(23)
     rhs = 1.0 + rng.random((5, 8))
     rho_new = rhs.mean(axis=1)
-    expected = np.linalg.solve(np.eye(8) - ws.c * matrix, rhs.T).T
+    expected = np.linalg.solve(np.eye(8) - ws.c * op.matrix, rhs.T).T
     np.testing.assert_allclose(ws.solve_collision(rhs, rho_new), expected, rtol=1e-9, atol=1e-11)
 
 
@@ -307,6 +312,59 @@ def test_collision_inverse_matches_dense_solve_under_extreme_stiffness(name, nv)
     fluctuation = rhs - rho_new[:, None]
     expected = rho_new[:, None] + np.linalg.solve(np.eye(nv) - ws.c * op.matrix, fluctuation.T).T
     np.testing.assert_allclose(ws.solve_collision(rhs, rho_new), expected, rtol=1e-10)
+
+
+def test_collision_solve_leaves_its_arguments_alone():
+    op = build_fokker_planck(build_grid(4))
+    ws = Stepper(op, make_params(eta=0.1, epsilon=0.1, dt=1e-2))
+    rng = np.random.default_rng(41)
+    rhs = 1.0 + rng.random((6, 8))
+    rho_new = rhs.mean(axis=1)
+    rhs0, rho0 = rhs.copy(), rho_new.copy()
+    solved = ws.solve_collision(rhs, rho_new)
+    assert np.array_equal(rhs, rhs0) and np.array_equal(rho_new, rho0)
+    assert not np.shares_memory(solved, rhs)
+
+
+def _band_and_corner_matrix(n, rng, corners=True):
+    matrix = np.zeros((n, n))
+    idx = np.arange(n)
+    matrix[idx, idx] = 2.0 + rng.random(n)
+    matrix[idx[1:], idx[1:] - 1] = -rng.random(n - 1) - 0.1
+    matrix[idx[:-1], idx[:-1] + 1] = -rng.random(n - 1) - 0.1
+    if corners:
+        matrix[0, n - 1] = -0.3
+        matrix[n - 1, 0] = -0.4
+    return matrix
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_cyclic_bands_reject_any_off_band_entry(n):
+    rng = np.random.default_rng(n)
+    matrix = _band_and_corner_matrix(n, rng)
+    bands = _cyclic_bands(matrix)
+    assert bands.cyclic
+    assert np.array_equal(bands.dense(), matrix)
+    off_band = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if abs(i - j) > 1 and {i, j} != {0, n - 1}
+    ]
+    # at n = 3 the bands and the corners cover the whole matrix
+    assert len(off_band) == n * n - (3 * n - 2) - 2
+    for i, j in off_band:
+        stray = matrix.copy()
+        stray[i, j] = 1e-300
+        assert _cyclic_bands(stray) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_cyclic_bands_of_a_plain_tridiagonal_matrix(n):
+    matrix = _band_and_corner_matrix(n, np.random.default_rng(n), corners=False)
+    bands = _cyclic_bands(matrix)
+    assert not bands.cyclic
+    assert np.array_equal(bands.dense(), matrix)
 
 
 @pytest.mark.parametrize("nx", [3, 4, 7, 100])
@@ -356,6 +414,24 @@ def test_mass_conserved_and_mean_consistent(name, variant):
         state = stepper.step(state)
         np.testing.assert_allclose(state.f.mean(axis=1), state.rho, rtol=0, atol=1e-13)
     np.testing.assert_allclose(state.rho.sum(), mass0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["dense"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_leaves_its_input_alone(name, variant):
+    grid = build_grid(4)
+    op = dense_operator(grid) if name == "dense" else BUILDERS[name](grid)
+    stepper = Stepper(op, make_params(eta=0.5, epsilon=0.5, dt=1e-3, dx=1.0 / 9, variant=variant))
+    assert (stepper._collision_apply is not None) == (name == "dense")
+    state = random_state(np.random.default_rng(43), 9, 8)
+    # twice: the second step starts from a state the stepper made
+    for _ in range(2):
+        f0, rho0 = state.f.copy(), state.rho.copy()
+        advanced = stepper.step(state)
+        assert np.array_equal(state.f, f0) and np.array_equal(state.rho, rho0)
+        assert not np.shares_memory(advanced.f, state.f)
+        assert not np.shares_memory(advanced.rho, state.rho)
+        state = advanced
 
 
 @st.composite
@@ -423,6 +499,27 @@ def test_step_is_bitwise_deterministic(case):
         first, second = stepper.step(first), twin.step(second)
     assert np.array_equal(first.f, second.f)
     assert np.array_equal(first.rho, second.rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases())
+def test_step_conserves_mass(case):
+    stepper, nx, seed = case
+    state = normal_state(np.random.default_rng(seed), nx, stepper.op.size)
+    advanced = stepper.step(state)
+    scale = max(np.abs(state.f).max(), np.abs(advanced.f).max())
+    np.testing.assert_allclose(advanced.rho.sum(), state.rho.sum(), rtol=0, atol=1e-12 * nx * scale)
+    np.testing.assert_allclose(advanced.f.mean(axis=1), advanced.rho, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases(), st.floats(-1e3, 1e3))
+def test_constant_states_are_fixed_points(case, value):
+    stepper, nx, _ = case
+    state = KineticState(np.full((nx, stepper.op.size), value), np.full(nx, value), 0.0)
+    advanced = stepper.step(state)
+    np.testing.assert_allclose(advanced.f, value, rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(advanced.rho, value, rtol=1e-13, atol=1e-300)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
