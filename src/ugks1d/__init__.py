@@ -10,16 +10,11 @@ collision scale; see the README for the scheme construction and the CLI.
 from .errors import ConfigurationError, SolverError
 from .reference import (
     InitialData,
-    SpectralDecomposition,
     chapman_enskog_residual,
-    dense_spectral,
     exact_diffusion_density,
     exact_transport,
-    interface_value_oracle,
-    limit_diffusion_step,
     make_initial_data,
     transport_density,
-    upwind_transport_step,
 )
 from .scenarios import (
     PRESETS,
@@ -43,7 +38,6 @@ from .scheme import (
     Snapshot,
     Stepper,
     Variant,
-    default_time_step,
     flux_coefficients,
     run,
 )
@@ -56,9 +50,7 @@ from .velocity_space import (
     build_fokker_planck,
     build_grid,
     build_scattering,
-    compute_u_and_lambda,
     entropy_dissipation,
-    pseudo_inverse_apply,
     validate_operator,
 )
 
@@ -68,16 +60,11 @@ __all__ = [
     "ConfigurationError",
     "SolverError",
     "InitialData",
-    "SpectralDecomposition",
     "chapman_enskog_residual",
-    "dense_spectral",
     "exact_diffusion_density",
     "exact_transport",
-    "interface_value_oracle",
-    "limit_diffusion_step",
     "make_initial_data",
     "transport_density",
-    "upwind_transport_step",
     "PRESETS",
     "ErrorReport",
     "Scenario",
@@ -97,7 +84,6 @@ __all__ = [
     "Snapshot",
     "Stepper",
     "Variant",
-    "default_time_step",
     "flux_coefficients",
     "run",
     "CollisionOperator",
@@ -108,8 +94,6 @@ __all__ = [
     "build_fokker_planck",
     "build_grid",
     "build_scattering",
-    "compute_u_and_lambda",
     "entropy_dissipation",
-    "pseudo_inverse_apply",
     "validate_operator",
 ]

@@ -1,8 +1,10 @@
-"""Deterministic linear solvers for the implicit pieces of the scheme.
+"""Deterministic linear solvers for the per-cell collision systems.
 
-Two kinds of collision systems appear: symmetric positive definite ones
-given only as a map (conjugate gradient), and banded ones, tridiagonal or
-tridiagonal with periodic corners.  A banded system is inverted once, in
+Two kinds of collision systems appear: banded ones, tridiagonal or
+tridiagonal with periodic corners, and any other symmetric positive
+definite one, which ``scheme.Stepper`` solves per cell by conjugate
+gradient, given only as a map; that fallback is conjugate gradient's only
+caller.  A banded system is inverted once, in
 LAPACK (``gtsv`` on the identity, plus a Sherman-Morrison rank-one
 correction for the corners), and every later solve is one matrix product
 with that dense inverse.  The inverse holds n^2 numbers, so the factors are
@@ -215,11 +217,6 @@ def factor_tridiagonal(system: TridiagonalSystem) -> TridiagonalFactor:
     return TridiagonalFactor(_tridiagonal_inverse(system.sub, system.diag, system.sup))
 
 
-def thomas_solve(system: TridiagonalSystem, b: np.ndarray) -> np.ndarray:
-    """One-shot solve of a non-cyclic system; ``b`` may be (n,) or (n, m)."""
-    return factor_tridiagonal(system).solve(b)
-
-
 @dataclass(frozen=True)
 class CyclicTridiagonalFactor(TridiagonalFactor):
     """Dense inverse of a cyclic tridiagonal matrix.
@@ -260,33 +257,3 @@ def factor_cyclic(system: TridiagonalSystem) -> CyclicTridiagonalFactor:
         )
     inverse -= np.outer(z / denom, inverse[0] + v_last * inverse[-1])
     return CyclicTridiagonalFactor(inverse)
-
-
-def cyclic_thomas_solve(system: TridiagonalSystem, b: np.ndarray) -> np.ndarray:
-    """Solve a periodic tridiagonal system; zero corners degrade gracefully."""
-    return factor_cyclic(system).solve(b)
-
-
-def projected_solve_mean_zero(
-    apply_d: Callable[[np.ndarray], np.ndarray],
-    phi: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Solve D psi = phi on the mean-zero subspace.
-
-    D is symmetric negative semidefinite with kernel spanned by the
-    constant vector, so -D is positive definite once the mean is projected
-    out.  Conjugate gradient runs on -D with the mean subtracted after
-    every application and from the final iterate.
-    """
-    phi = np.asarray(phi, dtype=float)
-
-    def apply_projected(x: np.ndarray) -> np.ndarray:
-        y = -apply_d(x)
-        return y - y.mean()
-
-    rhs = -(phi - phi.mean())
-    solution = conjugate_gradient(apply_projected, rhs, tol=tol, max_iter=max_iter)
-    psi = solution.x
-    return psi - psi.mean()

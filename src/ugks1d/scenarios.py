@@ -2,7 +2,7 @@
 
 A Scenario bundles everything one run needs: collision operator kind,
 physical parameters (eta, epsilon, sigma), mesh sizes, time step (fixed
-or from the stability law c1 dx^2 + c2 eta dx), snapshot times, stepping
+or from the stability law 0.5 dx^2 + 0.5 eta dx), snapshot times, stepping
 variant, and which analytic reference to compare against.  Three presets
 cover the canonical regimes on the unit torus with N_x = N_v = 100,
 sigma = 1 and dt = 1e-5:
@@ -69,8 +69,6 @@ class Scenario:
     dt: float | None  # None means the stability law decides
     t_snapshots: tuple[float, ...]
     variant: Variant = Variant.EXPLICIT_DIFFUSION
-    cfl_c1: float = 0.5
-    cfl_c2: float = 0.5
     out_dir: str | None = None
     reference: Reference | None = None
 
@@ -89,8 +87,6 @@ class Scenario:
         times = self.t_snapshots
         if any(t <= 0 for t in times) or any(a >= b for a, b in zip(times, times[1:])):
             raise ConfigurationError("snapshot times must be positive and strictly increasing")
-        if self.cfl_c1 < 0 or self.cfl_c2 < 0 or self.cfl_c1 + self.cfl_c2 == 0:
-            raise ConfigurationError("cfl coefficients must be nonnegative, not both zero")
 
     @property
     def dx(self) -> float:
@@ -100,7 +96,7 @@ class Scenario:
     def resolved_dt(self) -> float:
         if self.dt is not None:
             return self.dt
-        return default_time_step(self.dx, self.eta, self.cfl_c1, self.cfl_c2)
+        return default_time_step(self.dx, self.eta)
 
     @property
     def t_end(self) -> float:
@@ -156,8 +152,6 @@ _CONFIG_FIELDS = {
     "dt": None,  # number or the string "auto"
     "t_snapshots": None,
     "variant": Variant,
-    "cfl_c1": float,
-    "cfl_c2": float,
     "out_dir": str,
     "reference": Reference,  # or null for none
 }
@@ -262,7 +256,7 @@ def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
 def initialize_state(scenario: Scenario, grid: VelocityGrid | None = None) -> KineticState:
     """Sample f0 at cell centers x_i = (i - 1/2) dx on the given grid."""
     if grid is None:
-        grid = build_operator(scenario.operator, scenario.nv).grid
+        grid = build_grid(scenario.nv // 2)
     data = make_initial_data()
     x = (np.arange(scenario.nx) + 0.5) * scenario.dx
     f = data.f0(x[:, None], grid.velocities[None, :])

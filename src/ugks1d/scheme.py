@@ -176,9 +176,9 @@ def flux_coefficients(params: SchemeParams, lambda_star: float) -> FluxCoefficie
     return FluxCoefficients(a_coef, c_coef, d_coef, w)
 
 
-def default_time_step(dx: float, eta: float, c1: float = 0.5, c2: float = 0.5) -> float:
-    """Empirical stability law dt = c1 dx^2 + c2 eta dx."""
-    return c1 * dx * dx + c2 * eta * dx
+def default_time_step(dx: float, eta: float) -> float:
+    """Empirical stability law dt = 0.5 dx^2 + 0.5 eta dx."""
+    return 0.5 * dx * dx + 0.5 * eta * dx
 
 
 def _cyclic_bands(matrix: np.ndarray) -> TridiagonalSystem | None:

@@ -22,9 +22,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import ConfigurationError, SolverError
-from .linalg import projected_solve_mean_zero
+from .errors import ConfigurationError
 
 
 class OperatorKind(enum.Enum):
@@ -122,7 +122,7 @@ def build_scattering(grid: VelocityGrid, scale: float = 0.1) -> CollisionOperato
 
     The velocity indices form a cycle (1, ..., 2N, 1): the corner entries
     couple the fastest forward and backward velocities. lambda_star has no
-    closed form here and is computed by the projected solve.
+    closed form here; U comes from a direct mean-zero solve of D U = V.
     """
     n = grid.size
     if n < 3:
@@ -149,12 +149,36 @@ def build_scattering(grid: VelocityGrid, scale: float = 0.1) -> CollisionOperato
     )
 
 
-def compute_u_and_lambda(
-    matrix: np.ndarray,
-    velocities: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, float]:
+def _solve_mean_zero(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Solve D psi = phi - mean(phi) with <psi, 1> = 0 by one Cholesky factorization.
+
+    When D is negative semidefinite with kernel span(1), -D + 11^T/n is
+    positive definite and its solution against -phi already has mean zero;
+    the re-centre only removes round-off.  A failed factorization (D not
+    semidefinite) or a residual above 1e-9 |phi| (kernel larger than the
+    constants) raises operator-invalid.
+    """
+    phi = phi - phi.mean()
+    n = len(phi)
+    try:
+        factor = cho_factor(np.full((n, n), 1.0 / n) - matrix)
+    except LinAlgError:
+        raise ConfigurationError("operator-invalid: D is not negative semidefinite") from None
+    psi = cho_solve(factor, -phi)
+    # one refinement step: a single solve loses about cond eps of <psi, phi>,
+    # which lambda_star = <V,V>/<U,V> carries (1e-12 for sc at n = 400)
+    psi += cho_solve(factor, matrix @ psi - phi)
+    psi -= psi.mean()
+    residual = np.linalg.norm(matrix @ psi - phi)
+    if not residual <= 1e-9 * np.linalg.norm(phi):  # the bound validate-operator checks
+        raise ConfigurationError(
+            "operator-invalid: the kernel of D is larger than the constants "
+            f"(relative residual {residual / np.linalg.norm(phi):.3e} of D psi = phi)"
+        )
+    return psi
+
+
+def compute_u_and_lambda(matrix: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve D U = V on the mean-zero subspace and form the pseudo-eigenvalue.
 
     Parameters
@@ -163,9 +187,6 @@ def compute_u_and_lambda(
         Symmetric negative semidefinite collision matrix.
     velocities : array
         The grid velocities V; their sum must vanish.
-    tol, max_iter :
-        Passed to the projected conjugate gradient (cap 10 * 2N when
-        unset).
 
     Returns
     -------
@@ -175,15 +196,12 @@ def compute_u_and_lambda(
     Raises
     ------
     ConfigurationError
-        When the projected solve cannot converge, which is how an
-        operator with kernel dimension > 1 (V not in the range of D)
-        shows up here.
+        "operator-invalid: ..." when D is not negative semidefinite, when
+        its kernel is larger than the constants (V not in the range of D),
+        or when lambda_star is not negative.
     """
     v = np.asarray(velocities, dtype=float)
-    try:
-        u = projected_solve_mean_zero(lambda x: matrix @ x, v, tol=tol, max_iter=max_iter)
-    except SolverError as exc:
-        raise ConfigurationError(f"operator-invalid: solve for U failed: {exc}") from exc
+    u = _solve_mean_zero(matrix, v)
     lambda_star = float((v @ v) / (u @ v))
     if not lambda_star < 0:
         raise ConfigurationError(
@@ -251,13 +269,12 @@ def _connected(matrix: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def validate_operator(
-    matrix: np.ndarray,
-    *,
-    symmetry_tol: float = 1e-14,
-    row_sum_tol: float = 1e-13,
-    semidefinite_tol: float = 1e-12,
-) -> ValidationReport:
+_SYMMETRY_TOL = 1e-14
+_ROW_SUM_TOL = 1e-13
+_SEMIDEFINITE_TOL = 1e-12
+
+
+def validate_operator(matrix: np.ndarray) -> ValidationReport:
     """Check the structural assumptions a collision matrix must satisfy.
 
     Symmetry, zero row sums, and off-diagonal sign are read straight off
@@ -289,11 +306,11 @@ def validate_operator(
     kernel_dim = int(np.count_nonzero(np.abs(eigenvalues) <= kernel_tol))
 
     return ValidationReport(
-        symmetric=asymmetry <= symmetry_tol,
-        zero_row_sums=max(row_sums, col_sums) <= row_sum_tol,
+        symmetric=asymmetry <= _SYMMETRY_TOL,
+        zero_row_sums=max(row_sums, col_sums) <= _ROW_SUM_TOL,
         nonnegative_off_diagonal=min_off >= 0.0,
-        negative_semidefinite=max_eig <= semidefinite_tol,
-        kernel_is_constants=kernel_dim == 1 and row_sums <= row_sum_tol,
+        negative_semidefinite=max_eig <= _SEMIDEFINITE_TOL,
+        kernel_is_constants=kernel_dim == 1 and row_sums <= _ROW_SUM_TOL,
         irreducible=_connected(d),
         details={
             "symmetric": asymmetry,
@@ -303,12 +320,6 @@ def validate_operator(
             "kernel_is_constants": float(kernel_dim),
         },
     )
-
-
-def mean_projection(f_values: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the constants: m 1 with m the mean."""
-    f_values = np.asarray(f_values, dtype=float)
-    return np.full_like(f_values, f_values.mean())
 
 
 def pseudo_inverse_apply(op: CollisionOperator, phi: np.ndarray) -> np.ndarray:
@@ -326,7 +337,7 @@ def pseudo_inverse_apply(op: CollisionOperator, phi: np.ndarray) -> np.ndarray:
             "pseudo_inverse_apply needs a mean-zero input; "
             f"got <phi,1> = {float(phi.sum()):.3e} with |phi| = {norm:.3e}"
         )
-    return projected_solve_mean_zero(lambda x: op.matrix @ x, phi)
+    return _solve_mean_zero(op.matrix, phi)
 
 
 def entropy_dissipation(op: CollisionOperator, f_values: np.ndarray) -> float:

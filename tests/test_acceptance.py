@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ugks1d as u
+from ugks1d import reference
 
 NV_SMALL = (4, 10, 100)
 
@@ -146,7 +147,7 @@ def test_criterion_05_free_transport_reduction(capsys):
         stepper = u.Stepper(op, params)
         for _ in range(100):
             state = stepper.step(state)
-            f_up = u.upwind_transport_step(f_up, params.dt, params.dx, params.eta, op.grid)
+            f_up = reference.upwind_transport_step(f_up, params.dt, params.dx, params.eta, op.grid)
         worst = max(worst, float(np.abs(state.f - f_up).max()))
     ok = worst <= 1e-8
     report(capsys, 5, ok, f"max componentwise gap to upwind after 100 steps = {worst:.3e}")
@@ -165,7 +166,7 @@ def test_criterion_06_diffusion_reduction(capsys):
     worst = 0.0
     stepper = u.Stepper(op, params)
     for _ in range(100):
-        predicted = u.limit_diffusion_step(state.rho, params.dt, params.dx, kappa_d)
+        predicted = reference.limit_diffusion_step(state.rho, params.dt, params.dx, kappa_d)
         state = stepper.step(state)
         worst = max(worst, float(np.abs(state.rho - predicted).max()))
     ok = worst <= 1e-8
@@ -241,14 +242,14 @@ def test_criterion_10_transport_regime_operator_agreement(capsys, preset_runs):
 def test_criterion_11_bgk_interface_exactness(capsys):
     op = u.build_operator(u.OperatorKind.BGK, 100)
     params = u.SchemeParams(eta=0.3, epsilon=0.5, sigma=1.1, dt=2e-3, dx=0.01)
-    spec = u.dense_spectral(op)
+    spec = reference.dense_spectral(op)
     rng = np.random.default_rng(101)
     t_rels = (1e-4, 5e-4, 1e-3, 1.5e-3, 2e-3)
     worst = 0.0
     for _ in range(20):
         f_left, f_right = rng.random(100), rng.random(100)
         for t_rel in t_rels:
-            cmp_ = u.interface_value_oracle(
+            cmp_ = reference.interface_value_oracle(
                 t_rel, f_left, f_right, params, op, op.grid, params.dx, spec
             )
             worst = max(worst, cmp_.max_abs_diff)

@@ -7,13 +7,9 @@ from ugks1d.errors import ConfigurationError, SolverError
 from ugks1d.linalg import (
     TridiagonalSystem,
     conjugate_gradient,
-    cyclic_thomas_solve,
     factor_cyclic,
     factor_tridiagonal,
-    projected_solve_mean_zero,
-    thomas_solve,
 )
-from ugks1d.velocity_space import build_bgk, build_fokker_planck, build_grid
 
 
 def random_spd(rng, n):
@@ -87,14 +83,17 @@ def test_thomas_matches_dense_solve():
         system = random_tridiagonal(rng, n)
         b = rng.standard_normal(n)
         np.testing.assert_allclose(
-            thomas_solve(system, b), np.linalg.solve(system.dense(), b), rtol=1e-10
+            factor_tridiagonal(system).solve(b),
+            np.linalg.solve(system.dense(), b),
+            rtol=1e-10,
         )
 
 
 def test_thomas_single_row():
     system = TridiagonalSystem(np.empty(0), np.array([4.0]), np.empty(0))
-    np.testing.assert_array_equal(thomas_solve(system, np.array([2.0])), [0.5])
-    np.testing.assert_array_equal(thomas_solve(system, np.array([[2.0, 8.0]])), [[0.5, 2.0]])
+    factor = factor_tridiagonal(system)
+    np.testing.assert_array_equal(factor.solve(np.array([2.0])), [0.5])
+    np.testing.assert_array_equal(factor.solve(np.array([[2.0, 8.0]])), [[0.5, 2.0]])
 
 
 def test_thomas_stacked_right_hand_sides():
@@ -102,7 +101,9 @@ def test_thomas_stacked_right_hand_sides():
     system = random_tridiagonal(rng, 15)
     b = rng.standard_normal((15, 6))
     np.testing.assert_allclose(
-        thomas_solve(system, b), np.linalg.solve(system.dense(), b), rtol=1e-10
+        factor_tridiagonal(system).solve(b),
+        np.linalg.solve(system.dense(), b),
+        rtol=1e-10,
     )
 
 
@@ -131,7 +132,7 @@ def test_cyclic_thomas_matches_dense_solve():
         system = random_tridiagonal(rng, n, cyclic=True)
         b = rng.standard_normal(n)
         np.testing.assert_allclose(
-            cyclic_thomas_solve(system, b),
+            factor_cyclic(system).solve(b),
             np.linalg.solve(system.dense(), b),
             rtol=1e-9,
             atol=1e-12,
@@ -143,7 +144,7 @@ def test_cyclic_thomas_stacked_right_hand_sides():
     system = random_tridiagonal(rng, 12, cyclic=True)
     b = rng.standard_normal((12, 5))
     np.testing.assert_allclose(
-        cyclic_thomas_solve(system, b),
+        factor_cyclic(system).solve(b),
         np.linalg.solve(system.dense(), b),
         rtol=1e-9,
         atol=1e-12,
@@ -155,7 +156,9 @@ def test_cyclic_thomas_degrades_to_plain_thomas_with_zero_corners():
     system = random_tridiagonal(rng, 10)
     b = rng.standard_normal(10)
     np.testing.assert_allclose(
-        cyclic_thomas_solve(system, b), thomas_solve(system, b), rtol=1e-12
+        factor_cyclic(system).solve(b),
+        factor_tridiagonal(system).solve(b),
+        rtol=1e-12,
     )
 
 
@@ -185,31 +188,10 @@ def test_solves_are_deterministic():
     rng = np.random.default_rng(31)
     system = random_tridiagonal(rng, 20, cyclic=True)
     b = rng.standard_normal(20)
-    first = cyclic_thomas_solve(system, b)
-    second = cyclic_thomas_solve(system, b)
+    first = factor_cyclic(system).solve(b)
+    second = factor_cyclic(system).solve(b)
     np.testing.assert_array_equal(first, second)
     a = random_spd(rng, 20)
     x1 = conjugate_gradient(lambda x: a @ x, b).x
     x2 = conjugate_gradient(lambda x: a @ x, b).x
     np.testing.assert_array_equal(x1, x2)
-
-
-def test_factored_reuse_matches_one_shot():
-    rng = np.random.default_rng(41)
-    system = random_tridiagonal(rng, 18, cyclic=True)
-    factor = factor_cyclic(system)
-    for _ in range(5):
-        b = rng.standard_normal(18)
-        np.testing.assert_array_equal(factor.solve(b), cyclic_thomas_solve(system, b))
-
-
-@pytest.mark.parametrize("builder", [build_bgk, build_fokker_planck])
-def test_projected_solve_inverts_collision_matrix_on_mean_zero(builder):
-    rng = np.random.default_rng(51)
-    op = builder(build_grid(10))
-    for _ in range(10):
-        phi = rng.standard_normal(20)
-        phi -= phi.mean()
-        psi = projected_solve_mean_zero(lambda x: op.matrix @ x, phi, tol=1e-13)
-        assert abs(psi.mean()) <= 1e-13
-        np.testing.assert_allclose(op.matrix @ psi, phi, atol=1e-9)

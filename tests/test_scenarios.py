@@ -87,8 +87,6 @@ def test_scenario_validation():
         dict(t_snapshots=()),
         dict(t_snapshots=(0.2, 0.1)),
         dict(t_snapshots=(0.0, 0.1)),
-        dict(cfl_c1=0.0, cfl_c2=0.0),
-        dict(cfl_c1=-1.0),
     ):
         with pytest.raises(ConfigurationError):
             Scenario(**{**good, **bad})
@@ -141,6 +139,16 @@ def test_initialize_state_is_forward_peaked():
     assert float((backward / state.rho).max()) <= 1e-4
     assert int(state.rho.argmax()) in (49, 50)
     np.testing.assert_allclose(state.rho[49], state.rho[50], rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+def test_initialize_state_without_a_grid_uses_the_operator_grid(kind):
+    scenario = dataclasses.replace(PRESETS["diffusive"], operator=kind, nx=20, nv=10)
+    op = build_operator(kind, scenario.nv)
+    own = initialize_state(scenario)
+    given = initialize_state(scenario, op.grid)
+    np.testing.assert_array_equal(own.f, given.f)
+    np.testing.assert_array_equal(own.rho, given.rho)
 
 
 # ----------------------------------------------------------------- CSV files
@@ -247,6 +255,8 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
         load_scenario(path)
     with pytest.raises(ConfigurationError, match="unknown config keys: compare_transport"):
         load_scenario(write_config(tmp_path, compare_transport=True))
+    with pytest.raises(ConfigurationError, match="unknown config keys: cfl_c1"):
+        load_scenario(write_config(tmp_path, cfl_c1=0.5))
 
 
 def test_load_scenario_reports_json_position(tmp_path):

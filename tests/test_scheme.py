@@ -73,7 +73,6 @@ def test_stiffness_property():
 
 def test_default_time_step_law():
     assert default_time_step(0.01, 1.0) == 0.5 * 1e-4 + 0.5 * 0.01
-    assert default_time_step(0.01, 1e-4, c1=1.0, c2=0.0) == 1e-4
 
 
 # -------------------------------------------------------------- coefficients

@@ -1,5 +1,7 @@
 """Grid construction, the three collision operators, and their diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from ugks1d.velocity_space import (
     build_scattering,
     compute_u_and_lambda,
     entropy_dissipation,
-    mean_projection,
     pseudo_inverse_apply,
     validate_operator,
 )
@@ -176,33 +177,43 @@ def test_validation_rejects_non_square_input():
 
 
 def test_u_solve_fails_on_disconnected_operator():
+    # -D + 11^T/n is singular here, yet its Cholesky factorization succeeds
+    # in round-off, so it is the residual check that rejects the operator
     block = build_bgk(build_grid(1)).matrix
     matrix = np.zeros((4, 4))
     matrix[:2, :2] = block
     matrix[2:, 2:] = block
-    with pytest.raises(ConfigurationError, match="operator-invalid"):
+    message = "operator-invalid: the kernel of D is larger"
+    with pytest.raises(ConfigurationError, match=message):
         compute_u_and_lambda(matrix, build_grid(2).velocities)
 
 
-def test_mean_projection():
-    rng = np.random.default_rng(5)
-    f = rng.random(12)
-    projected = mean_projection(f)
-    np.testing.assert_allclose(projected, f.mean())
-    np.testing.assert_allclose(mean_projection(projected), projected, rtol=1e-15)
+def test_solve_rejects_a_positive_mean_zero_mode():
+    op = build_bgk(build_grid(5))
+    w = op.grid.velocities - op.grid.velocities.mean()
+    w /= np.linalg.norm(w)
+    bad = dataclasses.replace(op, matrix=op.matrix + 2.0 * np.outer(w, w))
+    message = "operator-invalid: D is not negative semidefinite"
+    with pytest.raises(ConfigurationError, match=message):
+        compute_u_and_lambda(bad.matrix, op.grid.velocities)
+    with pytest.raises(ConfigurationError, match=message):
+        pseudo_inverse_apply(bad, np.roll(w, 1) - w)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_pseudo_inverse_roundtrip(name):
-    op = BUILDERS[name](build_grid(10))
     rng = np.random.default_rng(17)
-    scale = float(np.abs(op.matrix).max())
-    for _ in range(10):
-        phi = rng.standard_normal(20)
-        phi -= phi.mean()
-        psi = pseudo_inverse_apply(op, phi)
-        assert abs(psi.sum()) <= 1e-10
-        np.testing.assert_allclose(op.matrix @ psi, phi, atol=1e-9 * scale)
+    for n in (8, 100, 400):
+        op = BUILDERS[name](build_grid(n // 2))
+        scale = float(np.abs(op.matrix).max())
+        for _ in range(10):
+            phi = rng.standard_normal(n)
+            phi -= phi.mean()
+            psi = pseudo_inverse_apply(op, phi)
+            # the re-centre leaves a mean of round-off size; without it the
+            # mean reaches 1e-12 |psi| for fp at n = 400
+            assert abs(psi.mean()) <= 1e-15 * np.abs(psi).max()
+            np.testing.assert_allclose(op.matrix @ psi, phi, atol=1e-9 * scale)
 
 
 def test_pseudo_inverse_rejects_nonzero_mean():
@@ -270,4 +281,20 @@ def test_scattering_lambda_star_frozen_values(half):
     op = build_scattering(build_grid(half))
     np.testing.assert_allclose(
         op.lambda_star, FROZEN_SCATTERING_LAMBDA[half], atol=1e-7
+    )
+
+
+# lambda_star of sc as the former projected conjugate-gradient solve gave it
+PARENT_SCATTERING_LAMBDA = {
+    4: -0.8888888888888891,
+    100: -1.4983518130056928,
+    400: -1.4998968820893601,
+}
+
+
+@pytest.mark.parametrize("nv", sorted(PARENT_SCATTERING_LAMBDA))
+def test_scattering_lambda_star_matches_iterative_values(nv):
+    op = build_scattering(build_grid(nv // 2))
+    np.testing.assert_allclose(
+        op.lambda_star, PARENT_SCATTERING_LAMBDA[nv], rtol=1e-12, atol=0.0
     )
