@@ -8,14 +8,6 @@ collision scale; see the README for the scheme construction and the CLI.
 """
 
 from .errors import ConfigurationError, SolverError
-from .reference import (
-    InitialData,
-    chapman_enskog_residual,
-    exact_diffusion_density,
-    exact_transport,
-    make_initial_data,
-    transport_density,
-)
 from .scenarios import (
     PRESETS,
     ErrorReport,
@@ -31,14 +23,12 @@ from .scenarios import (
     variant_gap,
 )
 from .scheme import (
-    FluxCoefficients,
     KineticState,
     RunResult,
     SchemeParams,
     Snapshot,
     Stepper,
     Variant,
-    flux_coefficients,
     run,
 )
 from .velocity_space import (
@@ -59,12 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigurationError",
     "SolverError",
-    "InitialData",
-    "chapman_enskog_residual",
-    "exact_diffusion_density",
-    "exact_transport",
-    "make_initial_data",
-    "transport_density",
     "PRESETS",
     "ErrorReport",
     "Scenario",
@@ -77,14 +61,12 @@ __all__ = [
     "run_scenario",
     "scheme_params",
     "variant_gap",
-    "FluxCoefficients",
     "KineticState",
     "RunResult",
     "SchemeParams",
     "Snapshot",
     "Stepper",
     "Variant",
-    "flux_coefficients",
     "run",
     "CollisionOperator",
     "OperatorKind",

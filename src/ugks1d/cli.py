@@ -56,8 +56,6 @@ def _resolve_scenario(args):
         overrides["operator"] = OperatorKind(args.operator)
     if getattr(args, "variant", None):
         overrides["variant"] = Variant(args.variant)
-    if getattr(args, "out_dir", None):
-        overrides["out_dir"] = args.out_dir
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
     return scenario
@@ -65,7 +63,7 @@ def _resolve_scenario(args):
 
 def _cmd_run(args) -> int:
     scenario = _resolve_scenario(args)
-    report = run_and_report(scenario)
+    report = run_and_report(scenario, args.out_dir)
     for line in report.lines():
         print(line)
     for path in report.files:
@@ -113,8 +111,7 @@ def _cmd_lambda_star(args) -> int:
     rows = lambda_star_report(OperatorKind(args.operator), args.nv)
     print(f"{'nv':>6} {'lambda_star':>20} {'continuum target':>18}")
     for row in rows:
-        target = f"{row.target:.6g}" if row.target is not None else "-"
-        print(f"{row.nv:>6} {row.lambda_star:>20.12f} {target:>18}")
+        print(f"{row.nv:>6} {row.lambda_star:>20.12f} {row.target:>18.6g}")
     return 0
 
 

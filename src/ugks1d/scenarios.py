@@ -69,7 +69,6 @@ class Scenario:
     dt: float | None  # None means the stability law decides
     t_snapshots: tuple[float, ...]
     variant: Variant = Variant.EXPLICIT_DIFFUSION
-    out_dir: str | None = None
     reference: Reference | None = None
 
     def __post_init__(self):
@@ -152,7 +151,6 @@ _CONFIG_FIELDS = {
     "dt": None,  # number or the string "auto"
     "t_snapshots": None,
     "variant": Variant,
-    "out_dir": str,
     "reference": Reference,  # or null for none
 }
 
@@ -400,12 +398,11 @@ def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> Err
     run_ = run_scenario(scenario)
     refs = _reference_curves(run_)
     x = run_.x_centers
-    target = out_dir if out_dir is not None else scenario.out_dir
     rows: list[SnapshotReport] = []
     files: list[Path] = []
     directory: Path | None = None
-    if target is not None:
-        directory = Path(target)
+    if out_dir is not None:
+        directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
     for idx, snap in enumerate(run_.result.snapshots):
         ref = refs.get(idx)
@@ -433,7 +430,7 @@ def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> Err
 class LambdaStarRow:
     nv: int
     lambda_star: float
-    target: float | None
+    target: float
 
 
 _LAMBDA_TARGETS = {
@@ -495,19 +492,16 @@ def ap_sweep(
             nv=nv,
             dt=None,
             t_snapshots=(t_end,),
+            reference=Reference.DIFFUSION if branch == "diffusive" else Reference.TRANSPORT,
         )
         run_ = run_scenario(scenario)
-        snap = run_.result.snapshots[-1]
-        x = run_.x_centers
+        last = len(run_.result.snapshots) - 1
+        snap, ref = run_.result.snapshots[last], _reference_curves(run_)[last]
         if branch == "diffusive":
-            op = run_.operator
-            kappa = 1.0 / (3.0 * scenario.sigma * abs(op.lambda_star))
-            ref = exact_diffusion_density(snap.time, x, kappa)
             rel = float(np.sqrt(np.mean((snap.rho - ref) ** 2) / np.mean(ref**2)))
             rows.append(SweepRow(eps, run_.params.dt, snap.time, rel))
         else:
             grid = run_.operator.grid
-            ref = transport_density(snap.time, x, grid, eta)
             f_up = initialize_state(scenario, grid).f
             for _ in range(run_.result.steps):
                 f_up = upwind_transport_step(f_up, run_.params.dt, scenario.dx, eta, grid)

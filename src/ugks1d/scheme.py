@@ -60,6 +60,8 @@ MASS_DRIFT_MAX = 1e-9
 # step can multiply the state by 1e2 or more, so a short period stops a
 # blow-up long before anything overflows.
 BLOWUP_CHECK_EVERY = 2
+# largest entry gap |mean_v f - rho| run() accepts, relative to max(|rho|, |f|)
+RHO_GAP_MAX = 1e-12
 
 
 class Variant(enum.Enum):
@@ -397,7 +399,9 @@ def run(
     each requested time (no interpolation).  The initial state counts for
     snapshot times at or before t0.
 
-    Exactly one of ``t_end`` / ``n_steps`` must be given.  Every
+    Exactly one of ``t_end`` / ``n_steps`` must be given.  The entry rho
+    must be the velocity mean of f (``RHO_GAP_MAX``): the step carries rho,
+    which keeps the mass exact, rather than recomputing it.  Every
     ``BLOWUP_CHECK_EVERY`` steps and at every snapshot, the final one
     included, the mass must be within ``MASS_DRIFT_MAX`` of the initial one,
     relative to the initial mass of |rho|, and at snapshots f must also be
@@ -410,6 +414,15 @@ def run(
         raise ConfigurationError(
             f"grid has N = {grid.half_count} but the operator was built on "
             f"N = {op.grid.half_count}"
+        )
+    gap = np.abs(state.f.mean(axis=1) - state.rho)
+    cell = int(np.argmax(gap))
+    worst, tol = float(gap[cell]), RHO_GAP_MAX * np.abs(state.rho).max()
+    # non-finite entries are the blow-up check's; max |f| costs a pass over f,
+    # so it is read only when max |rho| alone would reject
+    if math.isfinite(worst) and worst > tol and worst > RHO_GAP_MAX * np.abs(state.f).max():
+        raise ConfigurationError(
+            f"state.rho is not the velocity mean of state.f: largest gap {worst:.3e} in cell {cell}"
         )
     if n_steps is None:
         span = t_end - state.t

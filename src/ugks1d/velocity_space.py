@@ -18,11 +18,12 @@ unweighted sums over the velocity index.
 from __future__ import annotations
 
 import enum
-from collections import deque
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError
 
@@ -42,22 +43,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class VelocityGrid:
     half_count: int
-    delta_v: float
-    velocities: np.ndarray
 
     @property
     def size(self) -> int:
         return 2 * self.half_count
+
+    @property
+    def delta_v(self) -> float:
+        return 1.0 / self.half_count
+
+    @functools.cached_property
+    def velocities(self) -> np.ndarray:
+        n = self.size
+        # (2j - 2N - 1)/(2N): one rounding per entry, exact antisymmetry
+        return _read_only((2.0 * np.arange(1, n + 1) - n - 1) / n)
 
 
 def build_grid(half_count: int) -> VelocityGrid:
     """Symmetric grid of 2N velocities; rejects N < 1."""
     if half_count < 1:
         raise ConfigurationError(f"half_count must be >= 1, got {half_count}")
-    n = 2 * half_count
-    # (2j - 2N - 1)/(2N): one rounding per entry, exact antisymmetry
-    velocities = (2.0 * np.arange(1, n + 1) - n - 1) / n
-    return VelocityGrid(half_count, 1.0 / half_count, _read_only(velocities))
+    return VelocityGrid(half_count)
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,11 @@ def build_fokker_planck(grid: VelocityGrid) -> CollisionOperator:
     )
 
 
-def build_scattering(grid: VelocityGrid, scale: float = 0.1) -> CollisionOperator:
+# the scattering operator is this multiple of the periodic velocity Laplacian
+_SCATTERING_SCALE = 0.1
+
+
+def build_scattering(grid: VelocityGrid) -> CollisionOperator:
     """Scaled periodic Laplacian in velocity.
 
     The velocity indices form a cycle (1, ..., 2N, 1): the corner entries
@@ -129,9 +139,7 @@ def build_scattering(grid: VelocityGrid, scale: float = 0.1) -> CollisionOperato
         raise ConfigurationError(
             f"scattering cycle needs at least 3 velocities, got 2N = {n}"
         )
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
-    c = scale / grid.delta_v**2
+    c = _SCATTERING_SCALE / grid.delta_v**2
     matrix = np.zeros((n, n))
     idx = np.arange(n)
     matrix[idx, idx] = -2.0 * c
@@ -212,61 +220,21 @@ def compute_u_and_lambda(matrix: np.ndarray, velocities: np.ndarray) -> tuple[np
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Structural check results; ``details`` holds the measured magnitudes."""
+    """Structural check results by name, in report order, and their measured magnitudes."""
 
-    symmetric: bool
-    zero_row_sums: bool
-    nonnegative_off_diagonal: bool
-    negative_semidefinite: bool
-    kernel_is_constants: bool
-    irreducible: bool
-    details: dict = field(default_factory=dict)
+    checks: dict[str, bool]
+    details: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.symmetric
-            and self.zero_row_sums
-            and self.nonnegative_off_diagonal
-            and self.negative_semidefinite
-            and self.kernel_is_constants
-            and self.irreducible
-        )
+        return all(self.checks.values())
 
     def lines(self) -> list[str]:
         out = []
-        for name in (
-            "symmetric",
-            "zero_row_sums",
-            "nonnegative_off_diagonal",
-            "negative_semidefinite",
-            "kernel_is_constants",
-            "irreducible",
-        ):
-            flag = "ok" if getattr(self, name) else "FAIL"
-            extra = ""
-            if name in self.details:
-                extra = f" ({self.details[name]:.3e})"
-            out.append(f"{name.replace('_', ' ')}: {flag}{extra}")
+        for name, ok in self.checks.items():
+            extra = f" ({self.details[name]:.3e})" if name in self.details else ""
+            out.append(f"{name.replace('_', ' ')}: {'ok' if ok else 'FAIL'}{extra}")
         return out
-
-
-def _connected(matrix: np.ndarray) -> bool:
-    # breadth-first traversal over edges where D_ij > 0 off the diagonal
-    n = matrix.shape[0]
-    if n == 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        neighbors = np.nonzero(matrix[i] > 0.0)[0]
-        for j in neighbors:
-            if j != i and not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    return bool(seen.all())
 
 
 _SYMMETRY_TOL = 1e-14
@@ -280,10 +248,11 @@ def validate_operator(matrix: np.ndarray) -> ValidationReport:
     Symmetry, zero row sums, and off-diagonal sign are read straight off
     the entries.  Semidefiniteness and the kernel dimension use a dense
     symmetric eigensolve, acceptable at validation scale.  Irreducibility
-    is graph connectivity on the positive off-diagonal entries; together
-    with the sign and row-sum checks it is equivalent to the scaled
-    matrix I + delta D being an irreducible bistochastic matrix for small
-    delta, so no numerical delta sweep is needed.
+    is strong connectivity of the directed graph with an edge i -> j
+    wherever D_ij > 0 off the diagonal; together with the sign and row-sum
+    checks it is equivalent to the scaled matrix I + delta D being an
+    irreducible bistochastic matrix for small delta, so no numerical delta
+    sweep is needed.
 
     Failures are report entries, never exceptions.
     """
@@ -305,13 +274,17 @@ def validate_operator(matrix: np.ndarray) -> ValidationReport:
     kernel_tol = 1e-8 * scale
     kernel_dim = int(np.count_nonzero(np.abs(eigenvalues) <= kernel_tol))
 
+    # self-loops (the diagonal) do not change the strong components
+    components, _ = connected_components(d > 0.0, directed=True, connection="strong")
     return ValidationReport(
-        symmetric=asymmetry <= _SYMMETRY_TOL,
-        zero_row_sums=max(row_sums, col_sums) <= _ROW_SUM_TOL,
-        nonnegative_off_diagonal=min_off >= 0.0,
-        negative_semidefinite=max_eig <= _SEMIDEFINITE_TOL,
-        kernel_is_constants=kernel_dim == 1 and row_sums <= _ROW_SUM_TOL,
-        irreducible=_connected(d),
+        checks={
+            "symmetric": asymmetry <= _SYMMETRY_TOL,
+            "zero_row_sums": max(row_sums, col_sums) <= _ROW_SUM_TOL,
+            "nonnegative_off_diagonal": min_off >= 0.0,
+            "negative_semidefinite": max_eig <= _SEMIDEFINITE_TOL,
+            "kernel_is_constants": kernel_dim == 1 and row_sums <= _ROW_SUM_TOL,
+            "irreducible": components == 1,
+        },
         details={
             "symmetric": asymmetry,
             "zero_row_sums": max(row_sums, col_sums),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ugks1d as u
-from ugks1d import reference
+from ugks1d import reference, scheme
 
 NV_SMALL = (4, 10, 100)
 
@@ -114,7 +114,7 @@ def test_criterion_04_flux_coefficient_quadrature_oracle(capsys):
             for lam in lambda_grid:
                 a_ref, c_ref, d_ref, w = quad_coeffs(eta_eps, sigma_dt, lam)
                 params = u.SchemeParams(eta=1.0, epsilon=eta_eps, sigma=1.0, dt=sigma_dt, dx=0.01)
-                co = u.flux_coefficients(params, lam)
+                co = scheme.flux_coefficients(params, lam)
                 worst = max(
                     worst,
                     abs(co.a_coef - a_ref),
@@ -197,7 +197,7 @@ def test_criterion_08_diffusive_regime_accuracy(capsys, preset_runs):
         run_ = preset_runs["diffusive", kind]
         snap = snap_at(run_, 0.1)
         kappa = 1.0 / (3.0 * run_.scenario.sigma * abs(run_.operator.lambda_star))
-        ref = u.exact_diffusion_density(snap.time, run_.x_centers, kappa)
+        ref = reference.exact_diffusion_density(snap.time, run_.x_centers, kappa)
         rel = float(np.sqrt(np.mean((snap.rho - ref) ** 2) / np.mean(ref**2)))
         details.append(f"{kind} {100 * rel:.3f}%")
         worst = max(worst, rel)
@@ -265,7 +265,7 @@ def test_criterion_12_chapman_enskog_scaling(capsys):
             u.PRESETS["diffusive"], eta=eps, epsilon=eps, t_snapshots=(2e-3,)
         )
         run_ = u.run_scenario(scenario)
-        residuals[eps] = u.chapman_enskog_residual(
+        residuals[eps] = reference.chapman_enskog_residual(
             run_.result.final.f, run_.result.final.rho, run_.operator, run_.params
         )
     ratio = residuals[1e-3] / residuals[5e-4]

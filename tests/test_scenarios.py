@@ -257,6 +257,8 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
         load_scenario(write_config(tmp_path, compare_transport=True))
     with pytest.raises(ConfigurationError, match="unknown config keys: cfl_c1"):
         load_scenario(write_config(tmp_path, cfl_c1=0.5))
+    with pytest.raises(ConfigurationError, match="unknown config keys: out_dir"):
+        load_scenario(write_config(tmp_path, out_dir="results"))
 
 
 def test_load_scenario_reports_json_position(tmp_path):
@@ -440,7 +442,7 @@ def test_cli_validate_operator_failure_path(monkeypatch, capsys):
     import ugks1d.cli as cli
     from ugks1d.velocity_space import ValidationReport
 
-    failing = ValidationReport(False, True, True, True, True, True)
+    failing = ValidationReport({"symmetric": False, "irreducible": True})
     monkeypatch.setattr(cli, "validate_operator", lambda matrix: failing)
     code = main(["validate-operator", "--operator", "bgk", "--nv", "4"])
     captured = capsys.readouterr()
@@ -535,11 +537,15 @@ def test_blow_up_stops_before_the_only_snapshot(tmp_path):
 def test_cli_solver_and_internal_error_exit_codes(monkeypatch, capsys):
     import ugks1d.cli as cli
 
-    monkeypatch.setattr(cli, "run_and_report", lambda s: (_ for _ in ()).throw(SolverError("boom")))
+    monkeypatch.setattr(
+        cli, "run_and_report", lambda s, out_dir: (_ for _ in ()).throw(SolverError("boom"))
+    )
     assert main(["run", "--preset", "transport"]) == 3
     assert capsys.readouterr().err.startswith("solver-error:")
 
-    monkeypatch.setattr(cli, "run_and_report", lambda s: (_ for _ in ()).throw(ValueError("odd")))
+    monkeypatch.setattr(
+        cli, "run_and_report", lambda s, out_dir: (_ for _ in ()).throw(ValueError("odd"))
+    )
     assert main(["run", "--preset", "transport"]) == 1
     assert capsys.readouterr().err.startswith("internal-error:")
 

@@ -609,6 +609,35 @@ def test_run_requires_exactly_one_horizon():
         run(state, params, op, build_grid(3), n_steps=1)
 
 
+def test_run_rejects_a_rho_that_is_not_the_mean_of_f():
+    op = build_bgk(build_grid(2))
+    state = random_state(np.random.default_rng(71), 5, 4)
+    state.rho += 1e-6
+    with pytest.raises(ConfigurationError, match=r"not the velocity mean .* largest gap 1\.000e-06"):
+        run(state, make_params(dx=0.2), op, op.grid, n_steps=1)
+
+
+def test_run_resumes_from_its_own_final_state():
+    op = build_scattering(build_grid(10))
+    params = make_params(dx=0.05)
+    state = random_state(np.random.default_rng(73), 20, 20)
+    first = run(state, params, op, op.grid, n_steps=200)
+    resumed = run(first.final, params, op, op.grid, n_steps=200)
+    whole = run(state, params, op, op.grid, n_steps=400)
+    np.testing.assert_array_equal(resumed.final.f, whole.final.f)
+    np.testing.assert_array_equal(resumed.final.rho, whole.final.rho)
+
+
+def test_collision_recentre_keeps_rho_the_mean_of_f_over_a_long_run():
+    # the fluctuation solve alone lets the gap grow to 6e-14 over these
+    # steps; re-centring each cell on rho_new holds it at round-off
+    op = build_fokker_planck(build_grid(50))
+    params = make_params(eta=1e-4, epsilon=1e-4, dt=1e-5, dx=1.0 / 50)
+    f = 1.0 + np.random.default_rng(0).random((50, 100))
+    final = run(KineticState(f, f.mean(axis=1), 0.0), params, op, op.grid, n_steps=3000).final
+    assert np.abs(final.f.mean(axis=1) - final.rho).max() <= 4e-15
+
+
 def test_run_rejects_non_finite_state():
     op = build_fokker_planck(build_grid(2))
     state = random_state(np.random.default_rng(67), 5, 4)

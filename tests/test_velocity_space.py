@@ -42,6 +42,16 @@ def test_grid_rejects_empty():
         build_grid(0)
 
 
+def test_grid_is_its_half_count():
+    assert [f.name for f in dataclasses.fields(build_grid(3))] == ["half_count"]
+    assert build_grid(3) == build_grid(3)
+    assert hash(build_grid(3)) == hash(build_grid(3))
+    assert build_grid(3) != build_grid(4)
+    grid = build_grid(3)
+    assert grid.velocities is grid.velocities  # computed once
+    assert not grid.velocities.flags.writeable
+
+
 def test_bgk_smallest_grid_matrix():
     op = build_bgk(build_grid(1))
     np.testing.assert_array_equal(op.matrix, [[-0.5, 0.5], [0.5, -0.5]])
@@ -113,11 +123,6 @@ def test_scattering_needs_three_velocities():
         build_scattering(build_grid(1))
 
 
-def test_scattering_rejects_nonpositive_scale():
-    with pytest.raises(ConfigurationError, match="scale"):
-        build_scattering(build_grid(2), scale=0.0)
-
-
 @pytest.mark.parametrize("half", [2, 5, 50])
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_operators_pass_structural_validation(name, half):
@@ -141,21 +146,21 @@ def test_u_and_lambda_consistency(name):
 
 def test_validation_flags_asymmetry():
     report = validate_operator(np.array([[-1.0, 1.0], [0.5, -0.5]]))
-    assert not report.symmetric
+    assert not report.checks["symmetric"]
     assert not report.passed
 
 
 def test_validation_flags_nonzero_row_sums_and_positive_mode():
     shifted = build_bgk(build_grid(3)).matrix + 0.1 * np.eye(6)
     report = validate_operator(shifted)
-    assert not report.zero_row_sums
-    assert not report.negative_semidefinite
+    assert not report.checks["zero_row_sums"]
+    assert not report.checks["negative_semidefinite"]
     assert not report.passed
 
 
 def test_validation_flags_negative_off_diagonal():
     report = validate_operator(-build_bgk(build_grid(3)).matrix)
-    assert not report.nonnegative_off_diagonal
+    assert not report.checks["nonnegative_off_diagonal"]
     assert not report.passed
 
 
@@ -165,10 +170,36 @@ def test_validation_flags_disconnected_blocks():
     matrix[:2, :2] = block
     matrix[2:, 2:] = block
     report = validate_operator(matrix)
-    assert not report.kernel_is_constants
+    assert not report.checks["kernel_is_constants"]
     assert report.details["kernel_is_constants"] == 2.0
-    assert not report.irreducible
-    assert report.symmetric and report.zero_row_sums
+    assert not report.checks["irreducible"]
+    assert report.checks["symmetric"] and report.checks["zero_row_sums"]
+
+
+def test_validation_flags_a_one_way_chain_as_reducible():
+    # 0 -> 1 -> 2 reaches every node from node 0, but nothing leads back
+    matrix = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+    report = validate_operator(matrix)
+    assert not report.checks["irreducible"]
+    assert not report.passed
+
+
+def test_validation_report_lines_follow_the_checks():
+    report = validate_operator(build_fokker_planck(build_grid(2)).matrix)
+    assert list(report.checks) == [
+        "symmetric",
+        "zero_row_sums",
+        "nonnegative_off_diagonal",
+        "negative_semidefinite",
+        "kernel_is_constants",
+        "irreducible",
+    ]
+    assert report.lines()[:3] == [
+        "symmetric: ok (0.000e+00)",
+        "zero row sums: ok (0.000e+00)",
+        "nonnegative off diagonal: ok (0.000e+00)",
+    ]
+    assert report.lines()[-1] == "irreducible: ok"
 
 
 def test_validation_rejects_non_square_input():
