@@ -1,17 +1,18 @@
 """Deterministic linear solvers for the per-cell collision systems.
 
-Two kinds of collision systems appear: banded ones, tridiagonal or
-tridiagonal with periodic corners, and any other symmetric positive
-definite one, which ``scheme.Stepper`` solves per cell by conjugate
-gradient, given only as a map; that fallback is conjugate gradient's only
-caller.  A banded system is inverted once, in
-LAPACK (``gtsv`` on the identity, plus a Sherman-Morrison rank-one
-correction for the corners), and every later solve is one matrix product
-with that dense inverse.  The inverse holds n^2 numbers, so the factors are
-meant for velocity-sized systems (n = 2N, up to a few hundred) that are
-solved against one right-hand side per cell at every step.  The periodic
-macro system of the implicit-diffusion variant is circulant and is solved
-by FFT in ``scheme.Stepper``, not here.
+``scheme.Stepper`` inverts its collision system I - cD once per run, and
+every later solve is one matrix product with that dense inverse.  Each
+builder takes the dense matrix and calls LAPACK: ``factor_tridiagonal``
+applies ``gtsv`` to the identity, ``factor_cyclic`` adds a
+Sherman-Morrison rank-one correction for the periodic corners, and
+``factor_positive_definite`` inverts any other symmetric positive definite
+matrix by Cholesky (``potrf``, ``potri``).  The inverse holds n^2 numbers,
+so the factors are meant for velocity-sized systems (n = 2N, up to a few
+hundred) that are solved against one right-hand side per cell at every
+step.  The periodic macro system of the implicit-diffusion variant is
+circulant and is solved by FFT in ``scheme.Stepper``, not here.
+``conjugate_gradient`` solves with a map alone; nothing in the package
+calls it.
 
 All routines are pure functions, so identical inputs give bitwise-identical
 outputs on one machine.
@@ -28,56 +29,6 @@ from scipy.linalg import lapack
 from .errors import ConfigurationError, SolverError
 
 
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """Tridiagonal matrix, optionally with periodic corner entries.
-
-    ``sub`` and ``sup`` have length n-1; ``corner_upper`` is the (0, n-1)
-    entry and ``corner_lower`` the (n-1, 0) entry.  Solvability is not
-    assumed up front; it is what the elimination itself checks.
-    """
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    corner_upper: float = 0.0
-    corner_lower: float = 0.0
-
-    def __post_init__(self):
-        n = len(self.diag)
-        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
-            raise ConfigurationError(
-                "tridiagonal bands must have lengths n-1, n, n-1; got "
-                f"{len(self.sub)}, {n}, {len(self.sup)}"
-            )
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
-    @property
-    def cyclic(self) -> bool:
-        return self.corner_upper != 0.0 or self.corner_lower != 0.0
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product; ``x`` may be (n,) or (n, m)."""
-        x = np.asarray(x, dtype=float)
-        shape = (-1,) + (1,) * (x.ndim - 1)
-        y = self.diag.reshape(shape) * x
-        y[1:] += self.sub.reshape((-1,) + (1,) * (x.ndim - 1)) * x[:-1]
-        y[:-1] += self.sup.reshape((-1,) + (1,) * (x.ndim - 1)) * x[1:]
-        y[0] += self.corner_upper * x[-1]
-        y[-1] += self.corner_lower * x[0]
-        return y
-
-    def dense(self) -> np.ndarray:
-        n = self.size
-        a = np.diag(self.diag) + np.diag(self.sub, -1) + np.diag(self.sup, 1)
-        a[0, n - 1] += self.corner_upper
-        a[n - 1, 0] += self.corner_lower
-        return a
-
-
 class CGSolution(NamedTuple):
     x: np.ndarray
     iterations: int
@@ -92,28 +43,11 @@ def conjugate_gradient(
 ) -> CGSolution:
     """Conjugate gradient for a symmetric positive (semi)definite map.
 
-    Parameters
-    ----------
-    apply : callable
-        The linear map x -> A x.
-    b : array
-        Right-hand side, assumed in the range of A.
-    tol : float
-        Relative residual target, ||A x - b|| <= tol ||b||.
-    max_iter : int, optional
-        Iteration cap; defaults to 10 n.
-
-    Returns
-    -------
-    CGSolution
-        Solution vector, iteration count, and final relative residual.
-
-    Raises
-    ------
-    SolverError
-        On non-convergence (the best iterate rides along on ``best``),
-        on a NaN/inf appearing mid-iteration, or when the map reveals
-        itself as not positive definite on a search direction.
+    ``apply`` is x -> A x and ``b`` lies in the range of A.  Returns the
+    solution, the iteration count and the relative residual once
+    ||A x - b|| <= tol ||b||.  Raises SolverError after ``max_iter``
+    (default 10 n) iterations, with the last iterate on ``best``, and at
+    once on a non-finite value or a direction of non-positive curvature.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -144,12 +78,8 @@ def conjugate_gradient(
         alpha = rs / p_ap
         x = x + alpha * p
         r = r - alpha * ap
+        # a non-finite residual shows up as a non-finite p_ap next iteration
         rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
-            raise SolverError(
-                f"conjugate gradient residual became non-finite at iteration {k + 1}",
-                best=x,
-            )
         if np.sqrt(rs_new) <= tol * b_norm:
             return CGSolution(x, k + 1, float(np.sqrt(rs_new) / b_norm))
         p = r + (rs_new / rs) * p
@@ -163,12 +93,14 @@ def conjugate_gradient(
 
 @dataclass(frozen=True)
 class TridiagonalFactor:
-    """Dense inverse of a non-cyclic tridiagonal matrix.
+    """A dense inverse, whatever the structure of the matrix it inverts.
 
     ``solve(b)`` is one matrix product, ``inverse @ b``, for right-hand
-    sides of shape (n,) or (n, m).  The factor holds n^2 numbers, so it is
-    meant for velocity-sized systems (n up to a few hundred) that are solved
-    against many right-hand sides, such as the per-cell collision system.
+    sides of shape (n,) or (n, m).  ``factor_tridiagonal`` and
+    ``factor_positive_definite`` return this class and ``factor_cyclic``
+    its subclass.  The factor holds n^2 numbers, so it is meant for
+    velocity-sized systems (n up to a few hundred) that are solved against
+    many right-hand sides, such as the per-cell collision system.
     """
 
     inverse: np.ndarray
@@ -177,26 +109,8 @@ class TridiagonalFactor:
         return self.inverse @ b
 
 
-def _check_pivots(system: TridiagonalSystem) -> None:
-    """Raise SolverError naming the first row whose elimination pivot,
-    without row exchanges, vanishes relative to the largest entry."""
-    sub, diag, sup = system.sub.tolist(), system.diag.tolist(), system.sup.tolist()
-    scale = max(
-        max(map(abs, diag)),
-        max(map(abs, sub), default=0.0),
-        max(map(abs, sup), default=0.0),
-        1e-300,
-    )
-    pivot = diag[0]
-    for i in range(len(diag)):
-        if i > 0:
-            pivot = diag[i] - sub[i - 1] / pivot * sup[i - 1]
-        if abs(pivot) <= 1e-14 * scale:
-            raise SolverError(f"zero pivot in row {i} during tridiagonal elimination")
-
-
 def _tridiagonal_inverse(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """The inverse, from LAPACK ``gtsv`` applied to the identity."""
+    """The inverse, from LAPACK ``gtsv`` (partial pivoting) applied to the identity."""
     n = len(diag)
     if n == 1:
         # the gtsv wrapper rejects empty off-diagonal bands
@@ -207,25 +121,24 @@ def _tridiagonal_inverse(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> 
     return inverse
 
 
-def factor_tridiagonal(system: TridiagonalSystem) -> TridiagonalFactor:
-    """Invert once; raises SolverError naming the row of a zero pivot."""
-    if system.cyclic:
+def factor_tridiagonal(matrix: np.ndarray) -> TridiagonalFactor:
+    """Invert a tridiagonal matrix from its three bands; raises SolverError
+    naming the row of a zero pivot."""
+    n = matrix.shape[0]
+    if n >= 3 and (matrix[0, n - 1] != 0.0 or matrix[n - 1, 0] != 0.0):
         raise ConfigurationError(
             "factor_tridiagonal handles non-cyclic systems; use factor_cyclic"
         )
-    _check_pivots(system)
-    return TridiagonalFactor(_tridiagonal_inverse(system.sub, system.diag, system.sup))
+    return TridiagonalFactor(
+        _tridiagonal_inverse(np.diagonal(matrix, -1), np.diagonal(matrix), np.diagonal(matrix, 1))
+    )
 
 
 @dataclass(frozen=True)
 class CyclicTridiagonalFactor(TridiagonalFactor):
-    """Dense inverse of a cyclic tridiagonal matrix.
-
-    Built from the Sherman-Morrison split A = T + u v^T, where T is
-    tridiagonal and the rank-one term carries the corner entries:
-    A^{-1} = T^{-1} - (T^{-1} u)(v^T T^{-1}) / (1 + v^T T^{-1} u).  Like
-    ``TridiagonalFactor`` it holds n^2 numbers and suits velocity-sized
-    systems; ``solve(b)`` is ``inverse @ b``.
+    """Dense inverse of a cyclic tridiagonal matrix A = T + u v^T, where T
+    is tridiagonal and the rank-one term carries the corner entries, by
+    Sherman-Morrison: A^{-1} = T^{-1} - (T^{-1} u)(v^T T^{-1}) / (1 + v^T T^{-1} u).
     """
 
     # each class owns its ``solve``, so it can be looked up and replaced
@@ -233,27 +146,42 @@ class CyclicTridiagonalFactor(TridiagonalFactor):
     solve = TridiagonalFactor.solve
 
 
-def factor_cyclic(system: TridiagonalSystem) -> CyclicTridiagonalFactor:
-    n = system.size
-    if n < 3 and system.cyclic:
+def factor_cyclic(matrix: np.ndarray) -> CyclicTridiagonalFactor:
+    """Invert a tridiagonal matrix plus its corners (0, n-1) and (n-1, 0),
+    reading only those entries."""
+    n = matrix.shape[0]
+    if n < 3:
         raise ConfigurationError(
             "cyclic corners need n >= 3 so they stay off the tridiagonal band"
         )
-    alpha = system.corner_lower
-    beta = system.corner_upper
+    alpha = matrix[n - 1, 0]
+    beta = matrix[0, n - 1]
+    diag = np.diagonal(matrix).copy()
     # gamma = -d_0 keeps the modified first pivot away from zero
-    gamma = -system.diag[0] if system.diag[0] != 0.0 else 1.0
-    diag = system.diag.copy()
+    gamma = -diag[0] if diag[0] != 0.0 else 1.0
     diag[0] -= gamma
     diag[-1] -= alpha * beta / gamma
-    inverse = factor_tridiagonal(TridiagonalSystem(system.sub, diag, system.sup)).inverse
+    inverse = _tridiagonal_inverse(np.diagonal(matrix, -1), diag, np.diagonal(matrix, 1))
     # u = gamma e_0 + alpha e_{n-1}, v = e_0 + (beta / gamma) e_{n-1}
     z = gamma * inverse[:, 0] + alpha * inverse[:, -1]
     v_last = beta / gamma
     denom = 1.0 + z[0] + v_last * z[-1]
     if abs(denom) <= 1e-14:
-        raise SolverError(
-            "singular reduced system in cyclic tridiagonal factorization"
-        )
+        raise SolverError("singular reduced system in cyclic tridiagonal factorization")
     inverse -= np.outer(z / denom, inverse[0] + v_last * inverse[-1])
     return CyclicTridiagonalFactor(inverse)
+
+
+def factor_positive_definite(matrix: np.ndarray) -> TridiagonalFactor:
+    """Invert a symmetric positive definite matrix by LAPACK Cholesky
+    (``potrf``, then ``potri``); raises SolverError when the matrix is not
+    exactly symmetric or not positive definite."""
+    if not np.array_equal(matrix, matrix.T):
+        raise SolverError("matrix is not symmetric")
+    factor, info = lapack.dpotrf(matrix)
+    if info == 0:
+        factor, info = lapack.dpotri(factor)
+    if info != 0:
+        raise SolverError(f"matrix is not positive definite: Cholesky stops at row {info - 1}")
+    # potri fills the upper triangle only
+    return TridiagonalFactor(np.triu(factor) + np.triu(factor, 1).T)

@@ -373,13 +373,15 @@ def _reference_curves(run_: ScenarioRun) -> dict[int, np.ndarray]:
             if snap.time > 0:
                 refs[idx] = transport_density(snap.time, x, op.grid, scenario.eta)
     elif scenario.reference is Reference.DIFFUSION:
-        kappa = 1.0 / (3.0 * scenario.sigma * abs(op.lambda_star))
+        # the macro flux's d <V,V>/(2N) tends to eps/eta times the eta = eps coefficient
+        kappa = (scenario.epsilon / scenario.eta) / (3.0 * scenario.sigma * abs(op.lambda_star))
         for idx, snap in enumerate(snapshots):
             if snap.time > 0:
                 refs[idx] = exact_diffusion_density(snap.time, x, kappa)
     elif scenario.reference is Reference.LIMIT_FD:
         kappa_d = (
-            float(op.grid.velocities @ op.grid.velocities)
+            (scenario.epsilon / scenario.eta)
+            * float(op.grid.velocities @ op.grid.velocities)
             / op.grid.size
             / (scenario.sigma * abs(op.lambda_star))
         )

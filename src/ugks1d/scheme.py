@@ -23,9 +23,8 @@ phi itself, only its difference across a cell,
 an upwind difference of F (two slice subtractions) plus one rank-two
 product.  Collisions are implicit: each cell solves
 (I - c D_op) F = rhs with c = sigma dt/(eps eta).  ``Stepper`` prepares
-that solve once per run: a scalar divide for BGK, the dense inverse of a
-banded (tridiagonal or cyclic) matrix, applied to every cell as one matrix
-product, and conjugate gradient for any other.
+that solve once per run: a scalar divide for BGK, and for every other
+operator one dense inverse, applied to every cell as one matrix product.
 
 The implicit-diffusion variant instead closes the density update on the
 new-time gradient, solving one periodic tridiagonal macro system per
@@ -44,10 +43,11 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .errors import ConfigurationError, SolverError
+# conjugate_gradient has no caller here; bench/spans.py wraps it by this name
 from .linalg import (
-    TridiagonalSystem,
     conjugate_gradient,
     factor_cyclic,
+    factor_positive_definite,
     factor_tridiagonal,
 )
 from .velocity_space import CollisionOperator, OperatorKind, VelocityGrid
@@ -183,26 +183,25 @@ def default_time_step(dx: float, eta: float) -> float:
     return 0.5 * dx * dx + 0.5 * eta * dx
 
 
-def _cyclic_bands(matrix: np.ndarray) -> TridiagonalSystem | None:
-    """Extract (sub, diag, sup, corners) when the matrix has no other entries."""
-    n = matrix.shape[0]
-    if n < 3:
-        return None
-    bands = TridiagonalSystem(
-        sub=np.diagonal(matrix, -1).copy(),
-        diag=np.diagonal(matrix).copy(),
-        sup=np.diagonal(matrix, 1).copy(),
-        corner_upper=float(matrix[0, n - 1]),
-        corner_lower=float(matrix[n - 1, 0]),
-    )
-    on_bands = (
-        np.count_nonzero(bands.sub)
-        + np.count_nonzero(bands.diag)
-        + np.count_nonzero(bands.sup)
-        + (bands.corner_upper != 0.0)
-        + (bands.corner_lower != 0.0)
-    )
-    return bands if np.count_nonzero(matrix) == on_bands else None
+def _invert_collision_system(system: np.ndarray):
+    """Invert I - cD by the builder its nonzero pattern allows: tridiagonal,
+    tridiagonal plus the corners (0, n-1) and (n-1, 0), or anything else by
+    Cholesky, which needs D symmetric negative semidefinite."""
+    n = system.shape[0]
+    on_band = sum(np.count_nonzero(np.diagonal(system, k)) for k in (-1, 0, 1))
+    off_band = np.count_nonzero(system) - on_band
+    # ints, not numpy bools, whose sum is their logical or
+    corners = int(system[0, n - 1] != 0.0) + int(system[n - 1, 0] != 0.0) if n >= 3 else 0
+    if off_band == 0:
+        return factor_tridiagonal(system)
+    if off_band == corners:
+        return factor_cyclic(system)
+    try:
+        return factor_positive_definite(system)
+    except SolverError as exc:
+        raise ConfigurationError(
+            f"operator-invalid: D is not symmetric negative semidefinite; for I - cD, {exc}"
+        ) from None
 
 
 class Stepper:
@@ -210,10 +209,12 @@ class Stepper:
 
     Built from the operator and the parameters alone: the flux
     coefficients, the half-moment weights, the rows of the flux difference
-    and the inverted collision system.  The eigenvalues of the
-    implicit-diffusion macro system depend on the cell count, so they are
-    computed on the first step with each cell count and kept.  The variant
-    is ``params.variant``.
+    and the dense inverse of the collision system (none for BGK), whose
+    builder is chosen by the nonzero pattern of I - cD; a dense D that is
+    not negative semidefinite fails here, with operator-invalid.  The
+    eigenvalues of the implicit-diffusion macro system depend on the cell
+    count, so they are computed on the first step with each cell count and
+    kept.  The variant is ``params.variant``.
 
     The kinetic update F - (dt/dx)(phi_i - phi_{i-1}) is built term by
     term in the one array that becomes the new F.  With the negative
@@ -265,19 +266,11 @@ class Stepper:
         self.macro_mu = params.dt * self.vv_mean * self.coeffs.d_coef / params.dx**2
         self._macro_eigenvalues: dict[int, np.ndarray] = {}
         self._collision_factor = None
-        self._collision_apply = None
         if op.kind is not OperatorKind.BGK:
-            c = self.c
-            matrix = op.matrix
-            system_matrix = -c * matrix
-            system_matrix[np.arange(n), np.arange(n)] += 1.0
-            bands = _cyclic_bands(system_matrix)
-            if bands is None:
-                self._collision_apply = lambda x: x - c * (matrix @ x)
-            elif bands.cyclic:
-                self._collision_factor = factor_cyclic(bands)
-            else:
-                self._collision_factor = factor_tridiagonal(bands)
+            # I - cD in one fresh array (np.eye(n) - cD costs 8x as much at n = 800)
+            system = -self.c * op.matrix
+            system[np.arange(n), np.arange(n)] += 1.0
+            self._collision_factor = _invert_collision_system(system)
 
     def solve_collision(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
         """Solve (I - cD) F = rhs cell by cell, given the updated density."""
@@ -286,24 +279,16 @@ class Stepper:
     def _collide(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
         """Solve (I - cD) F = rhs in fluctuation form and return F.
 
-        Overwrites ``rhs``; F is ``rhs``'s own storage except after the
-        banded factor's matrix product, which makes a new array.
+        Overwrites ``rhs``; F is ``rhs``'s own storage for BGK, and a new
+        array from the dense inverse's matrix product otherwise.
         """
         g = rhs
         g -= rho_new[:, None]
-        if self.op.kind is OperatorKind.BGK:
-            # D = P0 - I makes the fluctuation system diagonal
+        if self._collision_factor is None:
+            # BGK: D = P0 - I makes the fluctuation system diagonal
             g /= 1.0 + self.c
-        elif self._collision_factor is not None:
-            g = self._collision_factor.solve(g.T).T
         else:
-            for i in range(g.shape[0]):
-                try:
-                    g[i] = conjugate_gradient(self._collision_apply, g[i]).x
-                except SolverError as exc:
-                    raise SolverError(
-                        f"collision solve failed in cell {i}: {exc}", best=exc.best
-                    ) from exc
+            g = self._collision_factor.solve(g.T).T
         g += (rho_new - g.mean(axis=1))[:, None]
         return g
 

@@ -5,9 +5,9 @@ import pytest
 
 from ugks1d.errors import ConfigurationError, SolverError
 from ugks1d.linalg import (
-    TridiagonalSystem,
     conjugate_gradient,
     factor_cyclic,
+    factor_positive_definite,
     factor_tridiagonal,
 )
 
@@ -18,29 +18,13 @@ def random_spd(rng, n):
 
 
 def random_tridiagonal(rng, n, cyclic=False):
-    sub = rng.standard_normal(n - 1)
-    sup = rng.standard_normal(n - 1)
-    # diagonal dominance keeps every pivot comfortably nonzero
-    diag = 4.0 + rng.random(n)
-    cu = rng.standard_normal() if cyclic else 0.0
-    cl = rng.standard_normal() if cyclic else 0.0
-    return TridiagonalSystem(sub, diag, sup, cu, cl)
-
-
-def test_tridiagonal_band_length_mismatch_rejected():
-    with pytest.raises(ConfigurationError):
-        TridiagonalSystem(np.ones(3), np.ones(3), np.ones(2))
-
-
-def test_apply_matches_dense():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = rng.integers(3, 12)
-        system = random_tridiagonal(rng, n, cyclic=bool(rng.integers(2)))
-        x = rng.standard_normal(n)
-        np.testing.assert_allclose(system.apply(x), system.dense() @ x, rtol=1e-13)
-        xs = rng.standard_normal((n, 4))
-        np.testing.assert_allclose(system.apply(xs), system.dense() @ xs, rtol=1e-13)
+    # diagonal dominance keeps the matrix comfortably nonsingular
+    matrix = np.diag(4.0 + rng.random(n))
+    matrix += np.diag(rng.standard_normal(n - 1), -1) + np.diag(rng.standard_normal(n - 1), 1)
+    if cyclic:
+        matrix[0, n - 1] = rng.standard_normal()
+        matrix[n - 1, 0] = rng.standard_normal()
+    return matrix
 
 
 def test_conjugate_gradient_matches_dense_solve():
@@ -80,118 +64,111 @@ def test_thomas_matches_dense_solve():
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(2, 40))
-        system = random_tridiagonal(rng, n)
+        matrix = random_tridiagonal(rng, n)
         b = rng.standard_normal(n)
         np.testing.assert_allclose(
-            factor_tridiagonal(system).solve(b),
-            np.linalg.solve(system.dense(), b),
-            rtol=1e-10,
+            factor_tridiagonal(matrix).solve(b), np.linalg.solve(matrix, b), rtol=1e-10
         )
 
 
 def test_thomas_single_row():
-    system = TridiagonalSystem(np.empty(0), np.array([4.0]), np.empty(0))
-    factor = factor_tridiagonal(system)
+    factor = factor_tridiagonal(np.array([[4.0]]))
     np.testing.assert_array_equal(factor.solve(np.array([2.0])), [0.5])
     np.testing.assert_array_equal(factor.solve(np.array([[2.0, 8.0]])), [[0.5, 2.0]])
 
 
 def test_thomas_stacked_right_hand_sides():
     rng = np.random.default_rng(12)
-    system = random_tridiagonal(rng, 15)
+    matrix = random_tridiagonal(rng, 15)
     b = rng.standard_normal((15, 6))
     np.testing.assert_allclose(
-        factor_tridiagonal(system).solve(b),
-        np.linalg.solve(system.dense(), b),
-        rtol=1e-10,
+        factor_tridiagonal(matrix).solve(b), np.linalg.solve(matrix, b), rtol=1e-10
     )
 
 
 def test_thomas_zero_pivot_names_row():
-    system = TridiagonalSystem(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(SolverError, match="row 0"):
-        factor_tridiagonal(system)
-    # second pivot vanishes: d1 - (sub/d0) * sup = 2 - 1*2 = 0
-    system = TridiagonalSystem(np.array([1.0]), np.array([1.0, 2.0]), np.array([2.0]))
+    # gtsv pivots, so only an exactly singular matrix fails
     with pytest.raises(SolverError, match="row 1"):
-        factor_tridiagonal(system)
+        factor_tridiagonal(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
 
 def test_factor_tridiagonal_rejects_cyclic_input():
-    system = TridiagonalSystem(
-        np.ones(3), 4.0 * np.ones(4), np.ones(3), corner_upper=1.0, corner_lower=1.0
-    )
+    matrix = random_tridiagonal(np.random.default_rng(13), 4, cyclic=True)
     with pytest.raises(ConfigurationError, match="cyclic"):
-        factor_tridiagonal(system)
+        factor_tridiagonal(matrix)
 
 
 def test_cyclic_thomas_matches_dense_solve():
     rng = np.random.default_rng(21)
     for _ in range(25):
         n = int(rng.integers(3, 40))
-        system = random_tridiagonal(rng, n, cyclic=True)
+        matrix = random_tridiagonal(rng, n, cyclic=True)
         b = rng.standard_normal(n)
         np.testing.assert_allclose(
-            factor_cyclic(system).solve(b),
-            np.linalg.solve(system.dense(), b),
-            rtol=1e-9,
-            atol=1e-12,
+            factor_cyclic(matrix).solve(b), np.linalg.solve(matrix, b), rtol=1e-9, atol=1e-12
         )
 
 
 def test_cyclic_thomas_stacked_right_hand_sides():
     rng = np.random.default_rng(22)
-    system = random_tridiagonal(rng, 12, cyclic=True)
+    matrix = random_tridiagonal(rng, 12, cyclic=True)
     b = rng.standard_normal((12, 5))
     np.testing.assert_allclose(
-        factor_cyclic(system).solve(b),
-        np.linalg.solve(system.dense(), b),
-        rtol=1e-9,
-        atol=1e-12,
+        factor_cyclic(matrix).solve(b), np.linalg.solve(matrix, b), rtol=1e-9, atol=1e-12
     )
 
 
 def test_cyclic_thomas_degrades_to_plain_thomas_with_zero_corners():
     rng = np.random.default_rng(23)
-    system = random_tridiagonal(rng, 10)
+    matrix = random_tridiagonal(rng, 10)
     b = rng.standard_normal(10)
     np.testing.assert_allclose(
-        factor_cyclic(system).solve(b),
-        factor_tridiagonal(system).solve(b),
-        rtol=1e-12,
+        factor_cyclic(matrix).solve(b), factor_tridiagonal(matrix).solve(b), rtol=1e-12
     )
 
 
 def test_cyclic_corners_need_three_rows():
-    system = TridiagonalSystem(
-        np.ones(1), 4.0 * np.ones(2), np.ones(1), corner_upper=1.0, corner_lower=1.0
-    )
     with pytest.raises(ConfigurationError, match="n >= 3"):
-        factor_cyclic(system)
+        factor_cyclic(np.array([[4.0, 1.0], [1.0, 4.0]]))
 
 
 def test_cyclic_singular_matrix_detected():
     # periodic Laplacian: rows sum to zero, so the matrix is singular
     n = 6
-    system = TridiagonalSystem(
-        np.ones(n - 1),
-        -2.0 * np.ones(n),
-        np.ones(n - 1),
-        corner_upper=1.0,
-        corner_lower=1.0,
-    )
+    matrix = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    matrix[0, n - 1] = matrix[n - 1, 0] = 1.0
     with pytest.raises(SolverError):
-        factor_cyclic(system).solve(np.ones(n))
+        factor_cyclic(matrix)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 50])
+def test_positive_definite_inverse_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    matrix = random_spd(rng, n)
+    b = rng.standard_normal((n, 4))
+    factor = factor_positive_definite(matrix)
+    np.testing.assert_allclose(factor.solve(b), np.linalg.solve(matrix, b), rtol=1e-10, atol=1e-14)
+    assert np.array_equal(factor.inverse, factor.inverse.T)
+
+
+def test_positive_definite_inverse_rejects_indefinite_and_asymmetric_matrices():
+    with pytest.raises(SolverError, match="not positive definite"):
+        factor_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(SolverError, match="not symmetric"):
+        factor_positive_definite(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 def test_solves_are_deterministic():
     rng = np.random.default_rng(31)
-    system = random_tridiagonal(rng, 20, cyclic=True)
+    matrix = random_tridiagonal(rng, 20, cyclic=True)
     b = rng.standard_normal(20)
-    first = factor_cyclic(system).solve(b)
-    second = factor_cyclic(system).solve(b)
+    first = factor_cyclic(matrix).solve(b)
+    second = factor_cyclic(matrix).solve(b)
     np.testing.assert_array_equal(first, second)
     a = random_spd(rng, 20)
+    np.testing.assert_array_equal(
+        factor_positive_definite(a).solve(b), factor_positive_definite(a).solve(b)
+    )
     x1 = conjugate_gradient(lambda x: a @ x, b).x
     x2 = conjugate_gradient(lambda x: a @ x, b).x
     np.testing.assert_array_equal(x1, x2)

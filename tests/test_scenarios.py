@@ -376,6 +376,34 @@ def test_lambda_star_report_rows():
     assert rows[0].target == -1.5
 
 
+def _diffusive_linf(eta, reference):
+    """L-infinity error at t = 0.02 of a short BGK run with eps = 1e-4."""
+    scenario = Scenario(
+        name="kappa",
+        operator=OperatorKind.BGK,
+        eta=eta,
+        epsilon=1e-4,
+        sigma=1.0,
+        nx=40,
+        nv=20,
+        dt=1e-5,
+        t_snapshots=(0.02,),
+        reference=reference,
+    )
+    return run_and_report(scenario).rows[-1].linf
+
+
+def test_limit_fd_reference_tracks_a_diffusive_run():
+    assert _diffusive_linf(1e-4, Reference.LIMIT_FD) < 1e-3  # measured 7.0e-4
+
+
+@pytest.mark.parametrize("reference", [Reference.DIFFUSION, Reference.LIMIT_FD])
+def test_diffusion_references_scale_kappa_by_eps_over_eta(reference):
+    # at eta = eps/10 the scheme diffuses ten times faster than at eta = eps;
+    # a reference that leaves out eps/eta reports 1.0e-2 here
+    assert _diffusive_linf(1e-5, reference) < 2e-4  # measured 4.2e-5 and 4.5e-5
+
+
 # --------------------------------------------------------------------- sweeps
 
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ugks1d import scheme
 from ugks1d.errors import ConfigurationError
 from ugks1d.errors import SolverError
+from ugks1d.linalg import CyclicTridiagonalFactor, TridiagonalFactor
 from ugks1d.reference import (
     half_moments,
     limit_diffusion_step,
@@ -21,8 +23,8 @@ from ugks1d.scheme import (
     SchemeParams,
     Stepper,
     Variant,
-    _cyclic_bands,
     _expm1_over_w,
+    _invert_collision_system,
     default_time_step,
     duhamel_bracket,
     flux_coefficients,
@@ -259,8 +261,8 @@ def test_collision_solve_matches_dense_reference(name):
 
 
 def dense_operator(grid):
-    """A dense SPD-structured operator: it has no band form, so its
-    collision solve takes the per-cell conjugate-gradient route."""
+    """A dense negative semidefinite operator: it has no band form, so its
+    collision system is inverted by Cholesky."""
     matrix = 0.5 * (build_scattering(grid).matrix + build_bgk(grid).matrix)
     u, lam = compute_u_and_lambda(matrix, grid.velocities)
     return CollisionOperator(
@@ -272,12 +274,12 @@ def dense_operator(grid):
     )
 
 
-def test_collision_solve_dense_operator_falls_back_to_cg():
-    # the conjugate-gradient route must agree with a dense solve
+def test_collision_solve_dense_operator_uses_a_dense_inverse():
+    # the Cholesky route must agree with a dense solve
     op = dense_operator(build_grid(4))
     params = make_params(eta=0.5, epsilon=0.5, dt=1e-2)
     ws = Stepper(op, params)
-    assert ws._collision_factor is None and ws._collision_apply is not None
+    assert type(ws._collision_factor) is TridiagonalFactor
     rng = np.random.default_rng(23)
     rhs = 1.0 + rng.random((5, 8))
     rho_new = rhs.mean(axis=1)
@@ -337,13 +339,18 @@ def _band_and_corner_matrix(n, rng, corners=True):
     return matrix
 
 
+@pytest.fixture
+def builder_names(monkeypatch):
+    """Stub the three collision builders so each returns its own name."""
+    for name in ("factor_tridiagonal", "factor_cyclic", "factor_positive_definite"):
+        monkeypatch.setattr(scheme, name, lambda matrix, name=name: name)
+
+
 @pytest.mark.parametrize("n", [3, 4, 8])
-def test_cyclic_bands_reject_any_off_band_entry(n):
+def test_cyclic_bands_reject_any_off_band_entry(n, builder_names):
     rng = np.random.default_rng(n)
-    matrix = _band_and_corner_matrix(n, rng)
-    bands = _cyclic_bands(matrix)
-    assert bands.cyclic
-    assert np.array_equal(bands.dense(), matrix)
+    with_corners = _band_and_corner_matrix(n, rng)
+    assert _invert_collision_system(with_corners) == "factor_cyclic"
     off_band = [
         (i, j)
         for i in range(n)
@@ -352,18 +359,55 @@ def test_cyclic_bands_reject_any_off_band_entry(n):
     ]
     # at n = 3 the bands and the corners cover the whole matrix
     assert len(off_band) == n * n - (3 * n - 2) - 2
-    for i, j in off_band:
-        stray = matrix.copy()
-        stray[i, j] = 1e-300
-        assert _cyclic_bands(stray) is None
+    for matrix in (with_corners, _band_and_corner_matrix(n, rng, corners=False)):
+        for i, j in off_band:
+            stray = matrix.copy()
+            stray[i, j] = 1e-300
+            assert _invert_collision_system(stray) == "factor_positive_definite"
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_cyclic_bands_count_each_corner(n, builder_names):
+    # two nonzero corners must count as 2: the sum of two numpy bools is True
+    matrix = _band_and_corner_matrix(n, np.random.default_rng(n), corners=False)
+    for corners in ([(0, n - 1)], [(n - 1, 0)], [(0, n - 1), (n - 1, 0)]):
+        cyclic = matrix.copy()
+        for i, j in corners:
+            cyclic[i, j] = -0.3
+        assert _invert_collision_system(cyclic) == "factor_cyclic"
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
 def test_cyclic_bands_of_a_plain_tridiagonal_matrix(n):
-    matrix = _band_and_corner_matrix(n, np.random.default_rng(n), corners=False)
-    bands = _cyclic_bands(matrix)
-    assert not bands.cyclic
-    assert np.array_equal(bands.dense(), matrix)
+    rng = np.random.default_rng(n)
+    for corners, kind in ((False, TridiagonalFactor), (True, CyclicTridiagonalFactor)):
+        matrix = _band_and_corner_matrix(n, rng, corners=corners)
+        factor = _invert_collision_system(matrix)
+        assert type(factor) is kind
+        np.testing.assert_allclose(factor.inverse @ matrix, np.eye(n), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "name, builder",
+    [("bgk", None), ("fp", "factor_tridiagonal"), ("sc", "factor_cyclic")],
+)
+def test_collision_builder_follows_the_operator_pattern(name, builder, builder_names):
+    stepper = Stepper(BUILDERS[name](build_grid(10)), make_params())
+    assert stepper._collision_factor == builder
+
+
+def test_stepper_rejects_a_dense_operator_that_is_not_negative_semidefinite():
+    grid = build_grid(4)
+    # -D is positive semidefinite; at c = 10 I + 10 D is indefinite
+    op = CollisionOperator(
+        kind=OperatorKind.SCATTERING_PERIODIC,
+        grid=grid,
+        matrix=-dense_operator(grid).matrix,
+        lambda_star=-1.0,
+        u_vector=-grid.velocities,
+    )
+    with pytest.raises(ConfigurationError, match="operator-invalid: D is not symmetric negative"):
+        Stepper(op, make_params(dt=1e-1))
 
 
 @pytest.mark.parametrize("nx", [3, 4, 7, 100])
@@ -421,7 +465,8 @@ def test_step_leaves_its_input_alone(name, variant):
     grid = build_grid(4)
     op = dense_operator(grid) if name == "dense" else BUILDERS[name](grid)
     stepper = Stepper(op, make_params(eta=0.5, epsilon=0.5, dt=1e-3, dx=1.0 / 9, variant=variant))
-    assert (stepper._collision_apply is not None) == (name == "dense")
+    kind = {"bgk": type(None), "sc": CyclicTridiagonalFactor}.get(name, TridiagonalFactor)
+    assert type(stepper._collision_factor) is kind
     state = random_state(np.random.default_rng(43), 9, 8)
     # twice: the second step starts from a state the stepper made
     for _ in range(2):
