@@ -112,7 +112,13 @@ def exact_diffusion_density(t: float, x, kappa_abs: float, data: InitialData | N
 def limit_diffusion_step(rho: np.ndarray, dt: float, dx: float, kappa_d: float) -> np.ndarray:
     """One explicit step of the limiting heat equation on the periodic mesh."""
     rho = np.asarray(rho, dtype=float)
-    lap = np.roll(rho, -1) - 2.0 * rho + np.roll(rho, 1)
+    # (rho_{i+1} - 2 rho_i) + rho_{i-1}, by slices
+    lap = np.empty_like(rho)
+    lap[:-1] = rho[1:]
+    lap[-1] = rho[0]
+    lap -= 2.0 * rho
+    lap[1:] += rho[:-1]
+    lap[0] += rho[-1]
     return rho + (dt * kappa_d / dx**2) * lap
 
 

@@ -26,7 +26,6 @@ from .errors import ConfigurationError
 from .reference import (
     exact_diffusion_density,
     limit_diffusion_step,
-    make_initial_data,
     transport_density,
     upwind_transport_step,
 )
@@ -252,12 +251,17 @@ def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
 
 
 def initialize_state(scenario: Scenario, grid: VelocityGrid | None = None) -> KineticState:
-    """Sample f0 at cell centers x_i = (i - 1/2) dx on the given grid."""
+    """Sample f0 at cell centers x_i = (i - 1/2) dx on the given grid.
+
+    f0 = exp(-(x - 1/2)^2) exp(-10 (1 - v)^2) is separable, so f is one
+    outer product of nx + nv exponentials, built velocity-major (Fortran
+    order), the layout ``Stepper`` keeps.
+    """
     if grid is None:
         grid = build_grid(scenario.nv // 2)
-    data = make_initial_data()
     x = (np.arange(scenario.nx) + 0.5) * scenario.dx
-    f = data.f0(x[:, None], grid.velocities[None, :])
+    v = grid.velocities
+    f = np.outer(np.exp(-10.0 * (1.0 - v) ** 2), np.exp(-((x - 0.5) ** 2))).T
     rho = f.mean(axis=1)
     return KineticState(f=f, rho=rho, t=0.0)
 

@@ -20,11 +20,16 @@ phi itself, only its difference across a cell,
                         + (jump of the edge density) C V
                         + (jump of the density gradient) D lambda_star U V,
 
-an upwind difference of F (two slice subtractions) plus one rank-two
-product.  Collisions are implicit: each cell solves
-(I - c D_op) F = rhs with c = sigma dt/(eps eta).  ``Stepper`` prepares
-that solve once per run: a scalar divide for BGK, and for every other
-operator one dense inverse, applied to every cell as one matrix product.
+an upwind difference of F plus one rank-two product.  Collisions are
+implicit: each cell solves (I - c D_op) F = rhs with c = sigma dt/(eps eta).
+``Stepper`` prepares that solve once per run: a scalar divide for BGK, and
+for every other operator one dense inverse, applied to every cell as one
+matrix product.
+
+``KineticState.f`` has shape (nx, 2N).  The step accepts either memory
+order but works velocity-major, on f.T as one C-contiguous (2N, nx) block,
+and returns f Fortran-ordered, which is that block; so a C-ordered entry
+state is copied once, on a run's first step.
 
 The implicit-diffusion variant instead closes the density update on the
 new-time gradient, solving one periodic tridiagonal macro system per
@@ -94,7 +99,11 @@ class SchemeParams:
 
 @dataclass
 class KineticState:
-    """Cell averages: f has shape (nx, 2N), rho shape (nx,)."""
+    """Cell averages: f has shape (nx, 2N), rho shape (nx,).
+
+    f may be in either memory order; ``Stepper.step`` and
+    ``scenarios.initialize_state`` make it Fortran-ordered (velocity-major).
+    """
 
     f: np.ndarray
     rho: np.ndarray
@@ -204,6 +213,21 @@ def _invert_collision_system(system: np.ndarray):
         ) from None
 
 
+def _forward_difference(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a_{i+1} - a_i along the last axis, on the periodic mesh, into ``out``."""
+    np.subtract(a[..., 1:], a[..., :-1], out=out[..., :-1])
+    np.subtract(a[..., 0], a[..., -1], out=out[..., -1])
+    return out
+
+
+def _backward_difference(a: np.ndarray) -> np.ndarray:
+    """a_i - a_{i-1} along the last axis, on the periodic mesh."""
+    out = np.empty_like(a)
+    np.subtract(a[..., 1:], a[..., :-1], out=out[..., 1:])
+    np.subtract(a[..., 0], a[..., -1], out=out[..., 0])
+    return out
+
+
 class Stepper:
     """One run's update, with every per-run quantity computed once.
 
@@ -216,21 +240,27 @@ class Stepper:
     count, so they are computed on the first step with each cell count and
     kept.  The variant is ``params.variant``.
 
-    The kinetic update F - (dt/dx)(phi_i - phi_{i-1}) is built term by
-    term in the one array that becomes the new F.  With the negative
-    velocities first, the upwind difference is F_i - F_{i-1} on the
-    positive half and F_{i+1} - F_i on the negative half, two slice
-    subtractions that wrap one row each, times -(dt/dx) A V.  The jumps of
-    the edge density and of the density gradient form an (nx, 2) array
-    whose product with the rows -(dt/dx) C V and -(dt/dx) D lambda_star U V
-    BLAS adds in place.  The collision stage then works on the same array.
+    The step works on the C-contiguous (2N, nx) block f.T, copying a
+    C-ordered entry f to that order first.  The half moments are one BLAS
+    product of four weight rows with that block, and every periodic shift
+    of a cell vector is a slice difference.  The kinetic update
+    F - (dt/dx)(phi_i - phi_{i-1}) is built term by term in the one array
+    that becomes the new F.  With the negative velocities first, the
+    upwind difference is F_i - F_{i-1} on the positive half and
+    F_{i+1} - F_i on the negative half; each half is one contiguous block,
+    so each is one flat subtraction plus one wrap column, times
+    -(dt/dx) A V.  The jumps of the edge density and of the density
+    gradient form a (2, nx) array whose product with the rows
+    -(dt/dx) C V and -(dt/dx) D lambda_star U V BLAS adds in place.  The
+    collision stage then works on the same array.
 
     Collision solves run in fluctuation form: with m = rho^{n+1} known
     from the macro update, F = m 1 + G and (I - cD) G = rhs - m 1.  The
     kernel component never passes through the solver, so its rounding
     (the assembled matrix entries scale like c/dv^2) cannot leak into the
     conserved mean; G is re-centered to mean zero afterwards, which the
-    exact solution satisfies.
+    exact solution satisfies.  The inverse multiplies the whole (2N, nx)
+    block at once, and the re-centre's velocity mean is one BLAS product.
 
     The implicit-diffusion macro system (I + mu Lap) rho^{n+1} =
     rho^n - (dt A/dx) diff(J), with mu = dt <V,V>/(2N) D_coef / dx^2 < 0,
@@ -248,19 +278,24 @@ class Stepper:
         half = grid.half_count
         v = grid.velocities
         self._half = half
-        weights = np.zeros((n, 4))
-        weights[:half, 0] = 1.0 / n
-        weights[half:, 1] = 1.0 / n
-        weights[:half, 2] = v[:half] / n
-        weights[half:, 3] = v[half:] / n
-        self.moment_weights = weights
+        # rows J+, rho+, J-, rho-: the current and the density of the positive
+        # half, then of the negative half, as velocity means
+        rows = np.zeros((4, n))
+        rows[0, half:] = v[half:] / n
+        rows[1, half:] = 1.0 / n
+        rows[2, :half] = v[:half] / n
+        rows[3, :half] = 1.0 / n
+        self.moment_rows = rows
+        self.mean_row = np.full(n, 1.0 / n)
         # the rows of the flux difference, each times -dt/dx: a V for the
-        # upwind difference, then c V and d lambda* U V for the rank-two term
+        # upwind difference, then c V and d lambda* U V for the rank-two term,
+        # in Fortran order so that dgemm reads them without a copy
         scale = -params.dt / params.dx
-        self.upwind_row = scale * self.coeffs.a_coef * v
-        self.rank_two_rows = scale * np.stack(
+        self.upwind_column = (scale * self.coeffs.a_coef * v)[:, None]
+        rank_two = np.stack(
             (self.coeffs.c_coef * v, self.coeffs.d_coef * op.lambda_star * op.u_vector * v)
         )
+        self.rank_two_rows = np.asfortranarray(scale * rank_two)
         self.vv_mean = float(v @ v) / n
         self.c = params.stiffness
         self.macro_mu = params.dt * self.vv_mean * self.coeffs.d_coef / params.dx**2
@@ -273,23 +308,27 @@ class Stepper:
             self._collision_factor = _invert_collision_system(system)
 
     def solve_collision(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
-        """Solve (I - cD) F = rhs cell by cell, given the updated density."""
-        return self._collide(np.array(rhs, dtype=float), rho_new)
+        """Solve (I - cD) F = rhs cell by cell, given the updated density;
+        rhs and F have shape (nx, 2N)."""
+        # a Fortran-ordered copy, whose transpose is the velocity-major block
+        return self._collide(np.array(rhs, dtype=float, order="F").T, rho_new).T
 
     def _collide(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
         """Solve (I - cD) F = rhs in fluctuation form and return F.
 
-        Overwrites ``rhs``; F is ``rhs``'s own storage for BGK, and a new
-        array from the dense inverse's matrix product otherwise.
+        Velocity-major: ``rhs`` is a C-contiguous (2N, nx) block, one column
+        per cell, and F has the same shape.  Overwrites ``rhs``; F is
+        ``rhs``'s own storage for BGK, and a new array from the dense
+        inverse's matrix product otherwise.
         """
         g = rhs
-        g -= rho_new[:, None]
+        g -= rho_new
         if self._collision_factor is None:
             # BGK: D = P0 - I makes the fluctuation system diagonal
             g /= 1.0 + self.c
         else:
-            g = self._collision_factor.solve(g.T).T
-        g += (rho_new - g.mean(axis=1))[:, None]
+            g = self._collision_factor.solve(g)
+        g += rho_new - self.mean_row @ g
         return g
 
     def _solve_macro(self, rhs_rho: np.ndarray) -> np.ndarray:
@@ -303,43 +342,56 @@ class Stepper:
         return np.fft.irfft(np.fft.rfft(rhs_rho) / eigenvalues, n=nx)
 
     def step(self, state: KineticState) -> KineticState:
-        """Advance one time step of the parameters' variant."""
+        """Advance one time step of the parameters' variant; the new f is
+        Fortran-ordered."""
         p = self.params
         co = self.coeffs
-        f, rho = state.f, state.rho
+        f = np.ascontiguousarray(state.f.T, dtype=float)
+        rho = state.rho
         h = self._half
-        moments = f @ self.moment_weights
-        edge_rho = moments[:, 1] + np.roll(moments[:, 0], -1)
-        edge_j = moments[:, 3] + np.roll(moments[:, 2], -1)
+        nx = f.shape[1]
+        moments = self.moment_rows @ f
+        # rows: edge current, edge density (both at interface i+1/2: the
+        # positive half of cell i plus the negative half of cell i+1), and
+        # the density gradient, which the jumps take together with row 1
+        cells = np.empty((3, nx))
+        np.add(moments[:2, :-1], moments[2:, 1:], out=cells[:2, :-1])
+        np.add(moments[:2, -1], moments[2:, 0], out=cells[:2, -1])
+        edge_j = cells[0]
 
         if p.variant is Variant.EXPLICIT_DIFFUSION:
-            grad = (np.roll(rho, -1) - rho) / p.dx
+            grad = _forward_difference(rho, cells[2])
+            grad /= p.dx
             flux_rho = co.a_coef * edge_j + co.d_coef * self.vv_mean * grad
-            rho_new = rho - (p.dt / p.dx) * (flux_rho - np.roll(flux_rho, 1))
+            rho_new = rho - (p.dt / p.dx) * _backward_difference(flux_rho)
         else:
-            rhs_rho = rho - (p.dt * co.a_coef / p.dx) * (edge_j - np.roll(edge_j, 1))
+            rhs_rho = rho - (p.dt * co.a_coef / p.dx) * _backward_difference(edge_j)
             rho_new = self._solve_macro(rhs_rho)
-            grad = (np.roll(rho_new, -1) - rho_new) / p.dx
+            grad = _forward_difference(rho_new, cells[2])
+            grad /= p.dx
 
         # f - dt/dx (phi_i - phi_{i-1}), differenced term by term; the rows
-        # carry the -dt/dx.  The upwind term a V (f_i - f_{i-1}) where V > 0
-        # and a V (f_{i+1} - f_i) where V < 0 (the negative velocities come first):
-        f_new = np.empty(f.shape)
-        np.subtract(f[1:, h:], f[:-1, h:], out=f_new[1:, h:])
-        np.subtract(f[0, h:], f[-1, h:], out=f_new[0, h:])
-        np.subtract(f[1:, :h], f[:-1, :h], out=f_new[:-1, :h])
-        np.subtract(f[0, :h], f[-1, :h], out=f_new[-1, :h])
-        f_new *= self.upwind_row
-        # the jumps of edge_rho and grad against the rows c V and d lambda* U V,
-        # one (nx, 2) @ (2, nv) product that BLAS adds to f_new in place
-        jumps = np.empty((f.shape[0], 2))
-        np.subtract(edge_rho, np.roll(edge_rho, 1), out=jumps[:, 0])
-        np.subtract(grad, np.roll(grad, 1), out=jumps[:, 1])
+        # carry the -dt/dx.  The upwind term is a V (f_{i+1} - f_i) where
+        # V < 0 and a V (f_i - f_{i-1}) where V > 0.  On each half's flat
+        # block the shifted subtraction is wrong only where it crosses from
+        # one velocity to the next, in the column the wrap then overwrites.
+        f_new = np.empty_like(f)
+        flat, flat_new = f.reshape(-1), f_new.reshape(-1)
+        cut = h * nx  # offset of the first positive velocity
+        np.subtract(flat[1:cut], flat[: cut - 1], out=flat_new[: cut - 1])
+        np.subtract(f[:h, 0], f[:h, -1], out=f_new[:h, -1])
+        np.subtract(flat[cut + 1 :], flat[cut:-1], out=flat_new[cut + 1 :])
+        np.subtract(f[h:, 0], f[h:, -1], out=f_new[h:, 0])
+        f_new *= self.upwind_column
+        # the jumps of the edge density and the gradient against the rows
+        # c V and d lambda* U V, one (2N, 2) @ (2, nx) product that BLAS adds
+        # to f_new in place
+        jumps = _backward_difference(cells[1:])
         f_new = dgemm(
-            1.0, self.rank_two_rows.T, jumps.T, beta=1.0, c=f_new.T, overwrite_c=True
+            1.0, jumps.T, self.rank_two_rows, beta=1.0, c=f_new.T, overwrite_c=True
         ).T
         f_new += f
-        return KineticState(self._collide(f_new, rho_new), rho_new, state.t + p.dt)
+        return KineticState(self._collide(f_new, rho_new).T, rho_new, state.t + p.dt)
 
 
 @dataclass(frozen=True)

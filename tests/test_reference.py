@@ -183,6 +183,18 @@ def test_limit_step_constant_and_mass():
     np.testing.assert_allclose(stepped.sum(), rho.sum(), rtol=1e-14)
 
 
+@pytest.mark.parametrize("nx", [3, 4, 100])
+def test_limit_step_equals_the_roll_formula(nx):
+    # the slice form keeps the roll form's order of operations, so bitwise equal
+    rng = np.random.default_rng(nx)
+    dt, dx, kappa = 1e-4, 1.0 / nx, 1.0 / 3.0
+    for _ in range(5):
+        rho = rng.standard_normal(nx)
+        lap = np.roll(rho, -1) - 2.0 * rho + np.roll(rho, 1)
+        expected = rho + (dt * kappa / dx**2) * lap
+        assert np.array_equal(limit_diffusion_step(rho, dt, dx, kappa), expected)
+
+
 def test_limit_step_single_mode_decay_factor():
     nx = 50
     dx = 1.0 / nx

@@ -141,6 +141,20 @@ def test_initialize_state_is_forward_peaked():
     np.testing.assert_allclose(state.rho[49], state.rho[50], rtol=1e-14)
 
 
+@pytest.mark.parametrize("nx, nv", [(3, 2), (100, 100), (1000, 200)])
+def test_initialize_state_samples_f0_velocity_major(nx, nv):
+    # the outer product of the two exponentials against the joint one:
+    # a few ulps apart (3.8e-15 at worst at 1000 x 200)
+    scenario = dataclasses.replace(PRESETS["transport"], nx=nx, nv=nv)
+    grid = build_operator(scenario.operator, nv).grid
+    state = initialize_state(scenario, grid)
+    x = (np.arange(nx) + 0.5) * scenario.dx
+    expected = make_initial_data().f0(x[:, None], grid.velocities[None, :])
+    np.testing.assert_allclose(state.f, expected, rtol=1e-14, atol=0)
+    assert state.f.flags.f_contiguous
+    np.testing.assert_array_equal(state.rho, state.f.mean(axis=1))
+
+
 @pytest.mark.parametrize("kind", list(OperatorKind))
 def test_initialize_state_without_a_grid_uses_the_operator_grid(kind):
     scenario = dataclasses.replace(PRESETS["diffusive"], operator=kind, nx=20, nv=10)
