@@ -1,10 +1,11 @@
 """Checks on the analytic references and the dense interface oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import IntegrationWarning, quad, simpson
 
 from ugks1d.errors import ConfigurationError
 from ugks1d.reference import (
@@ -145,8 +146,8 @@ def test_diffusion_reference_satisfies_heat_equation():
 
 @pytest.mark.parametrize("t", [0.005, 0.05, 0.1])
 @pytest.mark.parametrize("kappa", [1.0 / 3.0, 0.5, 0.0333])
-def test_diffusion_reference_skipping_underflowing_images_is_bitwise(t, kappa):
-    # the full sum over every periodic image, without the underflow skip
+def test_diffusion_reference_matches_simpson_over_every_image(t, kappa):
+    # oracle: the periodized kernel summed over 21 images, Simpson on 2000 panels
     x = (np.arange(100) + 0.5) / 100
     kt = kappa * t
     n_images = max(10, int(math.ceil(6.0 * math.sqrt(2.0 * kt))))
@@ -157,7 +158,52 @@ def test_diffusion_reference_skipping_underflowing_images_is_bitwise(t, kappa):
         kernel += np.exp(-((shifts + j) ** 2) / (4.0 * kt))
     kernel *= 1.0 / math.sqrt(4.0 * math.pi * kt)
     full = simpson(kernel * make_initial_data().rho0(y)[None, :], x=y, axis=1)
-    assert np.array_equal(exact_diffusion_density(t, x, kappa), full)
+    np.testing.assert_allclose(exact_diffusion_density(t, x, kappa), full, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("t, kappa", [(0.005, 0.0333), (0.005, 1.0 / 3.0), (0.1, 0.5), (3.0, 1.0)])
+@pytest.mark.parametrize("x", [0.0, 0.13, 0.5, 0.99])
+def test_diffusion_reference_matches_adaptive_quadrature(t, kappa, x):
+    kt = kappa * t
+    rho0 = make_initial_data().rho0
+    images = np.arange(-30, 31)
+
+    def integrand(y):
+        kernel = np.exp(-((x - y + images) ** 2) / (4.0 * kt)).sum() / math.sqrt(4.0 * math.pi * kt)
+        return kernel * float(rho0(y))
+
+    peaks = [x + j for j in (-1, 0, 1) if 0.0 < x + j < 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        expected, _ = quad(integrand, 0.0, 1.0, points=peaks or None, epsabs=1e-15, epsrel=1e-13)
+    assert abs(exact_diffusion_density(t, x, kappa) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("kt", [1e-3, 0.2, 1.0, 10.0, 100.0])
+def test_diffusion_reference_keeps_the_exact_mass(kt):
+    # the periodic trapezoid mean of the smooth solution is its exact integral,
+    # A sqrt(pi) erf(1/2), so dropped image tails show up as lost mass
+    data = make_initial_data()
+    x = np.arange(400) / 400
+    mass = data.amplitude * math.sqrt(math.pi) * math.erf(0.5)
+    rho = exact_diffusion_density(kt, x, kappa_abs=1.0)
+    np.testing.assert_allclose(rho.mean(), mass, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kt", [1e-4, 1e-3, 0.2, 10.0, 100.0])
+def test_diffusion_reference_is_reflection_symmetric(kt):
+    x = np.linspace(0.0, 1.0, 257)
+    rho = exact_diffusion_density(kt, x, kappa_abs=1.0)
+    np.testing.assert_allclose(rho, exact_diffusion_density(kt, 1.0 - x, 1.0), rtol=0, atol=1e-15)
+
+
+def test_diffusion_reference_is_periodic_in_x():
+    x = np.linspace(0.0, 1.0, 33)
+    rho = exact_diffusion_density(0.01, x, 1.0 / 3.0)
+    for shift in (-9.0, 1.0, 10.0):
+        np.testing.assert_allclose(
+            exact_diffusion_density(0.01, x + shift, 1.0 / 3.0), rho, rtol=0, atol=1e-14
+        )
 
 
 def test_diffusion_reference_rejects_bad_arguments():
