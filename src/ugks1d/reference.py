@@ -63,11 +63,17 @@ def exact_transport(t: float, x, v, eta: float = 1.0, data: InitialData | None =
 
 
 def transport_density(t: float, x, grid: VelocityGrid, eta: float = 1.0) -> np.ndarray:
-    """Velocity mean of the exact transport solution: f0's back-traced x factor @ v weights."""
+    """Velocity mean of the exact transport solution: f0's back-traced x factor @ v weights.
+
+    The back-traced offset y = x - 1/2 - v t/eta is wrapped by y - rint(y),
+    which equals mod(x - v t/eta, 1) - 1/2 except where y is a half-integer
+    and rint may give +1/2 for -1/2; exp(-y^2), the periodic extension of the
+    x factor, is even and so takes the same value there.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = grid.velocities
-    y = np.mod(x[:, None] - v * t / eta, 1.0)
-    y -= 0.5
+    y = np.subtract.outer(x - 0.5, v * t / eta)
+    y -= np.rint(y)
     np.exp(np.negative(np.square(y, out=y), out=y), out=y)
     return y @ (np.exp(-10.0 * (1.0 - v) ** 2) / grid.size)
 

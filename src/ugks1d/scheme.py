@@ -22,9 +22,10 @@ phi itself, only its difference across a cell,
 
 an upwind difference of F plus one rank-two product.  Collisions are
 implicit: each cell solves (I - c D_op) F = rhs with c = sigma dt/(eps eta).
-``Stepper`` prepares that solve once per run: a scalar divide for BGK, and
-for every other operator one dense inverse, applied to every cell as one
-matrix product.
+For BGK that solve is F = k rhs + (rho^{n+1} - k mean rhs), k = 1/(1 + c),
+so ``Stepper`` folds k into the rows that assemble rhs and the collision
+costs no pass of its own.  Every other operator gets one dense inverse,
+built once per run and applied to every cell as one matrix product.
 
 ``KineticState.f`` has shape (nx, 2N).  The step accepts either memory
 order but works velocity-major, on f.T as one C-contiguous (2N, nx) block,
@@ -45,7 +46,7 @@ import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import daxpy, dgemm
 
 from .errors import ConfigurationError, SolverError
 # conjugate_gradient has no caller here; bench/spans.py wraps it by this name
@@ -220,9 +221,9 @@ def _forward_difference(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _backward_difference(a: np.ndarray) -> np.ndarray:
-    """a_i - a_{i-1} along the last axis, on the periodic mesh."""
-    out = np.empty_like(a)
+def _backward_difference(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a_i - a_{i-1} along the last axis, on the periodic mesh, into ``out`` or a new array."""
+    out = np.empty_like(a) if out is None else out
     np.subtract(a[..., 1:], a[..., :-1], out=out[..., 1:])
     np.subtract(a[..., 0], a[..., -1], out=out[..., 0])
     return out
@@ -243,22 +244,28 @@ class Stepper:
     The step works on the C-contiguous (2N, nx) block f.T, copying a
     C-ordered entry f to that order first.  The half moments are one BLAS
     product of four weight rows with that block, and every periodic shift
-    of a cell vector is a slice difference.  The kinetic update
-    F - (dt/dx)(phi_i - phi_{i-1}) is built term by term in the one array
-    that becomes the new F.  With the negative velocities first, the
-    upwind difference is F_i - F_{i-1} on the positive half and
-    F_{i+1} - F_i on the negative half; each half is one contiguous block,
-    so each is one flat subtraction plus one wrap column, times
-    -(dt/dx) A V.  The jumps of the edge density and of the density
-    gradient form a (2, nx) array whose product with the rows
-    -(dt/dx) C V and -(dt/dx) D lambda_star U V BLAS adds in place.  The
-    collision stage then works on the same array.
+    of a cell vector is a slice difference.  The kinetic right-hand side
+    rhs = F - (dt/dx)(phi_i - phi_{i-1}) is built term by term, times k,
+    in the one array that becomes the new F, where k = 1/(1 + c) for BGK
+    and 1 otherwise.  With the negative velocities first, the upwind
+    difference is F_i - F_{i-1} on the positive half and F_{i+1} - F_i on
+    the negative half; each half is one contiguous block, so each is one
+    flat subtraction plus one wrap column, times -k (dt/dx) A V.  One BLAS
+    daxpy adds k F.  Then one BLAS product adds three rows,
+    -k (dt/dx) C V, -k (dt/dx) D lambda_star U V and ones, times the jumps
+    of the edge density and of the density gradient and a cell vector
+    beta.
 
-    Collision solves run in fluctuation form: with m = rho^{n+1} known
-    from the macro update, F = m 1 + G and (I - cD) G = rhs - m 1.  The
+    For BGK, D = P0 - I, so the collision solve is F = k rhs + (rho^{n+1}
+    - k mean rhs).  The two rank-two rows are given velocity mean zero,
+    which changes no F, and beta = rho^{n+1} - the velocity mean of the
+    array before the product, one BLAS read; so the product ends the step.
+
+    Every other operator solves in fluctuation form: beta = -rho^{n+1}, so
+    the product leaves G = rhs - rho^{n+1} 1, and (I - cD) F' = G.  The
     kernel component never passes through the solver, so its rounding
     (the assembled matrix entries scale like c/dv^2) cannot leak into the
-    conserved mean; G is re-centered to mean zero afterwards, which the
+    conserved mean; F' is re-centred on rho^{n+1} afterwards, which the
     exact solution satisfies.  The inverse multiplies the whole (2N, nx)
     block at once, and the re-centre's velocity mean is one BLAS product.
 
@@ -287,47 +294,41 @@ class Stepper:
         rows[3, :half] = 1.0 / n
         self.moment_rows = rows
         self.mean_row = np.full(n, 1.0 / n)
-        # the rows of the flux difference, each times -dt/dx: a V for the
-        # upwind difference, then c V and d lambda* U V for the rank-two term,
-        # in Fortran order so that dgemm reads them without a copy
-        scale = -params.dt / params.dx
-        self.upwind_column = (scale * self.coeffs.a_coef * v)[:, None]
-        rank_two = np.stack(
-            (self.coeffs.c_coef * v, self.coeffs.d_coef * op.lambda_star * op.u_vector * v)
-        )
-        self.rank_two_rows = np.asfortranarray(scale * rank_two)
-        self.vv_mean = float(v @ v) / n
         self.c = params.stiffness
+        bgk = op.kind is OperatorKind.BGK
+        self.k = 1.0 / (1.0 + self.c) if bgk else 1.0
+        # the rows of the flux difference, each times -k dt/dx: a V for the
+        # upwind difference, then c V and d lambda* U V for the rank-two term,
+        # and ones for beta; in Fortran order so that dgemm reads them without
+        # a copy.  For BGK the rank-two rows must have velocity mean zero; c V
+        # has it on the symmetric grid, and d lambda* U V is centred.
+        scale = -self.k * params.dt / params.dx
+        self.upwind_column = (scale * self.coeffs.a_coef * v)[:, None]
+        rows = np.empty((3, n), order="F")
+        np.multiply(scale * self.coeffs.c_coef, v, out=rows[0])
+        np.multiply(scale * self.coeffs.d_coef * op.lambda_star * op.u_vector, v, out=rows[1])
+        if bgk:
+            rows[1] -= self.mean_row @ rows[1]
+        rows[2] = 1.0
+        self.rows = rows
+        self.vv_mean = float(v @ v) / n
         self.macro_mu = params.dt * self.vv_mean * self.coeffs.d_coef / params.dx**2
         self._macro_eigenvalues: dict[int, np.ndarray] = {}
         self._collision_factor = None
-        if op.kind is not OperatorKind.BGK:
+        if not bgk:
             # I - cD in one fresh array (np.eye(n) - cD costs 8x as much at n = 800)
             system = -self.c * op.matrix
             system[np.arange(n), np.arange(n)] += 1.0
             self._collision_factor = _invert_collision_system(system)
 
-    def solve_collision(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
-        """Solve (I - cD) F = rhs cell by cell, given the updated density;
-        rhs and F have shape (nx, 2N)."""
-        # a Fortran-ordered copy, whose transpose is the velocity-major block
-        return self._collide(np.array(rhs, dtype=float, order="F").T, rho_new).T
+    def _collide(self, g: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
+        """Solve (I - cD) F = rhs through the dense inverse, given the
+        fluctuation g = rhs - rho_new 1, and return F re-centred on rho_new.
 
-    def _collide(self, rhs: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
-        """Solve (I - cD) F = rhs in fluctuation form and return F.
-
-        Velocity-major: ``rhs`` is a C-contiguous (2N, nx) block, one column
-        per cell, and F has the same shape.  Overwrites ``rhs``; F is
-        ``rhs``'s own storage for BGK, and a new array from the dense
-        inverse's matrix product otherwise.
+        Velocity-major: ``g`` is a C-contiguous (2N, nx) block, one column
+        per cell, and F, a new array, has the same shape.
         """
-        g = rhs
-        g -= rho_new
-        if self._collision_factor is None:
-            # BGK: D = P0 - I makes the fluctuation system diagonal
-            g /= 1.0 + self.c
-        else:
-            g = self._collision_factor.solve(g)
+        g = self._collision_factor.solve(g)
         g += rho_new - self.mean_row @ g
         return g
 
@@ -370,11 +371,11 @@ class Stepper:
             grad = _forward_difference(rho_new, cells[2])
             grad /= p.dx
 
-        # f - dt/dx (phi_i - phi_{i-1}), differenced term by term; the rows
-        # carry the -dt/dx.  The upwind term is a V (f_{i+1} - f_i) where
-        # V < 0 and a V (f_i - f_{i-1}) where V > 0.  On each half's flat
-        # block the shifted subtraction is wrong only where it crosses from
-        # one velocity to the next, in the column the wrap then overwrites.
+        # k (f - dt/dx (phi_i - phi_{i-1})), differenced term by term; the
+        # rows carry the -k dt/dx.  The upwind term is a V (f_{i+1} - f_i)
+        # where V < 0 and a V (f_i - f_{i-1}) where V > 0.  On each half's
+        # flat block the shifted subtraction is wrong only where it crosses
+        # from one velocity to the next, in the column the wrap then overwrites.
         f_new = np.empty_like(f)
         flat, flat_new = f.reshape(-1), f_new.reshape(-1)
         cut = h * nx  # offset of the first positive velocity
@@ -383,15 +384,17 @@ class Stepper:
         np.subtract(flat[cut + 1 :], flat[cut:-1], out=flat_new[cut + 1 :])
         np.subtract(f[h:, 0], f[h:, -1], out=f_new[h:, 0])
         f_new *= self.upwind_column
-        # the jumps of the edge density and the gradient against the rows
-        # c V and d lambda* U V, one (2N, 2) @ (2, nx) product that BLAS adds
-        # to f_new in place
-        jumps = _backward_difference(cells[1:])
-        f_new = dgemm(
-            1.0, jumps.T, self.rank_two_rows, beta=1.0, c=f_new.T, overwrite_c=True
-        ).T
-        f_new += f
-        return KineticState(self._collide(f_new, rho_new).T, rho_new, state.t + p.dt)
+        daxpy(flat, flat_new, a=self.k)  # in place: flat_new is contiguous
+        # the jumps of the edge density and the gradient, and beta, against
+        # the rows, one (2N, 3) @ (3, nx) product that BLAS adds in place;
+        # BGK's beta ends its collision, the others' leaves the fluctuation
+        terms = np.empty((3, nx))
+        _backward_difference(cells[1:], out=terms[:2])
+        bgk = self._collision_factor is None
+        terms[2] = rho_new - self.mean_row @ f_new if bgk else -rho_new
+        f_new = dgemm(1.0, terms.T, self.rows, beta=1.0, c=f_new.T, overwrite_c=True).T
+        f_new = f_new if bgk else self._collide(f_new, rho_new)
+        return KineticState(f_new.T, rho_new, state.t + p.dt)
 
 
 @dataclass(frozen=True)

@@ -103,11 +103,36 @@ def test_exact_transport_eta_rescales_time():
     )
 
 
+def assert_transport_density_is_the_mean(t, x, grid, eta):
+    values = exact_transport(t, x[:, None], grid.velocities[None, :], eta=eta)
+    np.testing.assert_allclose(
+        transport_density(t, x, grid, eta=eta), values.mean(axis=1), rtol=1e-14
+    )
+
+
 def test_transport_density_matches_manual_average():
-    grid = build_grid(10)
-    x = np.linspace(0.0, 1.0, 13)
-    values = exact_transport(0.07, x[:, None], grid.velocities[None, :])
-    np.testing.assert_allclose(transport_density(0.07, x, grid), values.mean(axis=1), rtol=1e-14)
+    assert_transport_density_is_the_mean(0.07, np.linspace(0.0, 1.0, 13), build_grid(10), eta=1.0)
+
+
+@pytest.mark.parametrize("t", [3.7, 123.456])
+def test_transport_density_wraps_shifts_of_many_periods(t):
+    # at eta = 0.5 the back-trace crosses up to 2t periods of the torus
+    assert_transport_density_is_the_mean(t, np.linspace(0.0, 1.0, 41), build_grid(10), eta=0.5)
+
+
+def test_transport_density_wraps_x_outside_the_unit_interval():
+    x = np.array([-0.3, -1.0, 1.0, 1.7, 2.25])
+    assert_transport_density_is_the_mean(0.07, x, build_grid(10), eta=1.0)
+
+
+def test_transport_density_at_exact_wrap_ties():
+    # nv = 4 has v = +-1/4, +-3/4, so x - 1/2 - v t/eta is a half-integer for
+    # some pairs, where the rint wrap may land on +1/2 and mod on -1/2
+    grid, t, eta = build_grid(2), 0.5, 0.5
+    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    shift = np.subtract.outer(x - 0.5, grid.velocities * t / eta)
+    assert np.any(np.mod(shift, 1.0) == 0.5)
+    assert_transport_density_is_the_mean(t, x, grid, eta)
 
 
 # ----------------------------------------------------------------- diffusion

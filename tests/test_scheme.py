@@ -1,5 +1,6 @@
 """Stepper-level checks: coefficients, fluxes, limits, conservation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -245,7 +246,16 @@ def test_micro_flux_matches_time_integrated_interface_value(name):
 # ------------------------------------------------------------ collision solve
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+def solve_collision(stepper, rhs, rho_new):
+    """Solve (I - cD) F = rhs cell by cell through the stepper's dense inverse
+    and re-centre, given the updated density; rhs and F have shape (nx, 2N)."""
+    # a Fortran-ordered copy, whose transpose is the velocity-major block
+    g = np.array(rhs, dtype=float, order="F").T
+    g -= rho_new
+    return stepper._collide(g, rho_new).T
+
+
+@pytest.mark.parametrize("name", ["fp", "sc"])
 def test_collision_solve_matches_dense_reference(name):
     op = BUILDERS[name](build_grid(4))
     params = make_params(eta=0.1, epsilon=0.1, dt=1e-2)  # stiffness c = 1
@@ -255,9 +265,42 @@ def test_collision_solve_matches_dense_reference(name):
     rho_new = rhs.mean(axis=1)
     system = np.eye(8) - ws.c * op.matrix
     expected = np.linalg.solve(system, rhs.T).T
-    solved = ws.solve_collision(rhs, rho_new)
+    solved = solve_collision(ws, rhs, rho_new)
     np.testing.assert_allclose(solved, expected, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(solved.mean(axis=1), rho_new, atol=1e-14)
+
+
+def per_interface_step(op, params, state):
+    """One step from the per-interface flux formulas looped over interfaces,
+    followed by a dense solve of I - cD in every cell."""
+    nx = state.f.shape[0]
+    co = flux_coefficients(params, op.lambda_star)
+    f = state.f
+    right = np.roll(f, -1, axis=0)
+    phi = np.array([micro_flux(f[i], right[i], co, op, op.grid, params.dx) for i in range(nx)])
+    flux_rho = np.array(
+        [macro_flux(f[i], right[i], co, op, op.grid, params.dx) for i in range(nx)]
+    )
+    ratio = params.dt / params.dx
+    rho_new = state.rho - ratio * (flux_rho - np.roll(flux_rho, 1))
+    rhs = f - ratio * (phi - np.roll(phi, 1, axis=0))
+    system = np.eye(op.size) - params.stiffness * op.matrix
+    return KineticState(np.linalg.solve(system, rhs.T).T, rho_new, state.t + params.dt)
+
+
+def test_bgk_step_matches_per_interface_fluxes_and_a_dense_solve():
+    # BGK's collision is folded into the kinetic assembly, so it is checked
+    # through the whole step, at stiffness c = 1
+    op = build_bgk(build_grid(4))
+    nx = 6
+    params = make_params(eta=0.1, epsilon=0.1, dt=1e-2, dx=1.0 / nx)
+    f = 1.0 + np.random.default_rng(19).random((nx, op.size))
+    state = KineticState(f, f.mean(axis=1), 0.0)
+    expected = per_interface_step(op, params, state)
+    advanced = Stepper(op, params).step(state)
+    np.testing.assert_allclose(advanced.rho, expected.rho, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(advanced.f, expected.f, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(advanced.f.mean(axis=1), advanced.rho, atol=1e-14)
 
 
 def dense_operator(grid):
@@ -284,7 +327,7 @@ def test_collision_solve_dense_operator_uses_a_dense_inverse():
     rhs = 1.0 + rng.random((5, 8))
     rho_new = rhs.mean(axis=1)
     expected = np.linalg.solve(np.eye(8) - ws.c * op.matrix, rhs.T).T
-    np.testing.assert_allclose(ws.solve_collision(rhs, rho_new), expected, rtol=1e-9, atol=1e-11)
+    np.testing.assert_allclose(solve_collision(ws, rhs, rho_new), expected, rtol=1e-9, atol=1e-11)
 
 
 def test_collision_solve_keeps_mean_exact_under_extreme_stiffness():
@@ -294,7 +337,7 @@ def test_collision_solve_keeps_mean_exact_under_extreme_stiffness():
     rng = np.random.default_rng(29)
     rhs = 1.0 + rng.random((10, 100))
     rho_new = rhs.mean(axis=1)
-    solved = ws.solve_collision(rhs, rho_new)
+    solved = solve_collision(ws, rhs, rho_new)
     np.testing.assert_allclose(solved.mean(axis=1), rho_new, rtol=0, atol=5e-15)
 
 
@@ -312,7 +355,7 @@ def test_collision_inverse_matches_dense_solve_under_extreme_stiffness(name, nv)
     # of order c nv^2, which moves the mean of F by 2e-10 at nv = 400
     fluctuation = rhs - rho_new[:, None]
     expected = rho_new[:, None] + np.linalg.solve(np.eye(nv) - ws.c * op.matrix, fluctuation.T).T
-    np.testing.assert_allclose(ws.solve_collision(rhs, rho_new), expected, rtol=1e-10)
+    np.testing.assert_allclose(solve_collision(ws, rhs, rho_new), expected, rtol=1e-10)
 
 
 def test_collision_solve_leaves_its_arguments_alone():
@@ -322,7 +365,7 @@ def test_collision_solve_leaves_its_arguments_alone():
     rhs = 1.0 + rng.random((6, 8))
     rho_new = rhs.mean(axis=1)
     rhs0, rho0 = rhs.copy(), rho_new.copy()
-    solved = ws.solve_collision(rhs, rho_new)
+    solved = solve_collision(ws, rhs, rho_new)
     assert np.array_equal(rhs, rhs0) and np.array_equal(rho_new, rho0)
     assert not np.shares_memory(solved, rhs)
 
@@ -558,6 +601,20 @@ def test_step_conserves_mass(case):
 
 
 @settings(max_examples=100, deadline=None)
+@given(step_cases(), st.floats(-8.0, 8.0))
+def test_step_keeps_rho_the_mean_of_f_at_any_stiffness(case, log_c):
+    # the re-centre, folded into the assembly for BGK, must hold from the
+    # collisionless c = 1e-8 to the stiff c = 1e8
+    stepper, nx, seed = case
+    p = stepper.params
+    sigma = 10.0**log_c * p.epsilon * p.eta / p.dt
+    stiff = Stepper(stepper.op, dataclasses.replace(p, sigma=sigma))
+    advanced = stiff.step(normal_state(np.random.default_rng(seed), nx, stepper.op.size))
+    tol = 1e-13 * max(1.0, np.abs(advanced.f).max())
+    np.testing.assert_allclose(advanced.f.mean(axis=1), advanced.rho, rtol=0, atol=tol)
+
+
+@settings(max_examples=100, deadline=None)
 @given(step_cases(), st.floats(-1e3, 1e3))
 def test_constant_states_are_fixed_points(case, value):
     stepper, nx, _ = case
@@ -626,21 +683,10 @@ def test_step_matches_per_interface_oracle(name):
     nx = 7
     params = make_params(eta=0.3, epsilon=0.2, dt=2e-3, dx=1.0 / nx)
     state = normal_state(np.random.default_rng(61), nx, op.size)
-    co = flux_coefficients(params, op.lambda_star)
-    f = state.f
-    right = np.roll(f, -1, axis=0)
-    phi = np.array([micro_flux(f[i], right[i], co, op, op.grid, params.dx) for i in range(nx)])
-    flux_rho = np.array(
-        [macro_flux(f[i], right[i], co, op, op.grid, params.dx) for i in range(nx)]
-    )
-    ratio = params.dt / params.dx
-    rho_new = state.rho - ratio * (flux_rho - np.roll(flux_rho, 1))
-    rhs = f - ratio * (phi - np.roll(phi, 1, axis=0))
-    system = np.eye(op.size) - params.stiffness * op.matrix
-    f_new = np.array([np.linalg.solve(system, row) for row in rhs])
+    expected = per_interface_step(op, params, state)
     advanced = Stepper(op, params).step(state)
-    np.testing.assert_allclose(advanced.rho, rho_new, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(advanced.f, f_new, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(advanced.rho, expected.rho, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(advanced.f, expected.f, rtol=0, atol=1e-12)
 
 
 def test_near_transport_step_matches_upwind():
@@ -725,10 +771,11 @@ def test_run_resumes_from_its_own_final_state():
     np.testing.assert_array_equal(resumed.final.rho, whole.final.rho)
 
 
-def test_collision_recentre_keeps_rho_the_mean_of_f_over_a_long_run():
-    # the fluctuation solve alone lets the gap grow to 6e-14 over these
-    # steps; re-centring each cell on rho_new holds it at round-off
-    op = build_fokker_planck(build_grid(50))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_collision_recentre_keeps_rho_the_mean_of_f_over_a_long_run(name):
+    # for fp, the fluctuation solve alone lets the gap grow to 6e-14 over
+    # these steps; re-centring each cell on rho_new holds it at round-off
+    op = BUILDERS[name](build_grid(50))
     params = make_params(eta=1e-4, epsilon=1e-4, dt=1e-5, dx=1.0 / 50)
     f = 1.0 + np.random.default_rng(0).random((50, 100))
     final = run(KineticState(f, f.mean(axis=1), 0.0), params, op, op.grid, n_steps=3000).final
