@@ -26,8 +26,10 @@ from .errors import ConfigurationError
 from .reference import (
     exact_diffusion_density,
     limit_diffusion_step,
+    space_profile,
     transport_density,
     upwind_transport_step,
+    velocity_profile,
 )
 from .scheme import (
     KineticState,
@@ -35,6 +37,7 @@ from .scheme import (
     SchemeParams,
     Variant,
     default_time_step,
+    require_positive_finite,
     run,
 )
 from .velocity_space import (
@@ -72,23 +75,29 @@ class Scenario:
 
     def __post_init__(self):
         for field in ("eta", "epsilon", "sigma"):
-            if not getattr(self, field) > 0:
-                raise ConfigurationError(f"{field} must be positive")
+            require_positive_finite(field, getattr(self, field))
         if self.nx < 3:
             raise ConfigurationError(f"nx must be at least 3, got {self.nx}")
         if self.nv < 2 or self.nv % 2:
             raise ConfigurationError(f"nv must be even and >= 2, got {self.nv}")
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if self.dt is not None:
+            require_positive_finite("dt", self.dt)
         if not self.t_snapshots:
             raise ConfigurationError("at least one snapshot time is required")
         times = self.t_snapshots
-        if any(t <= 0 for t in times) or any(a >= b for a, b in zip(times, times[1:])):
-            raise ConfigurationError("snapshot times must be positive and strictly increasing")
+        for t in times:
+            require_positive_finite("snapshot time", t)
+        if any(a >= b for a, b in zip(times, times[1:])):
+            raise ConfigurationError("snapshot times must be strictly increasing")
 
     @property
     def dx(self) -> float:
         return 1.0 / self.nx
+
+    @property
+    def x_centers(self) -> np.ndarray:
+        """Cell centres x_i = (i + 1/2) dx, i = 0 .. nx - 1."""
+        return (np.arange(self.nx) + 0.5) * self.dx
 
     @property
     def resolved_dt(self) -> float:
@@ -154,6 +163,10 @@ _CONFIG_FIELDS = {
 }
 
 
+def _is_number(value) -> bool:  # a JSON number: bool is an int in Python, not here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_choice(kind: enum.EnumMeta, key: str, value) -> enum.Enum:
     try:
         return kind(value)
@@ -211,23 +224,24 @@ def load_scenario(source: str | Path) -> Scenario:
         elif key == "dt":
             if value == "auto":
                 fields[key] = None
-            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            elif _is_number(value):
                 fields[key] = float(value)
             else:
                 raise ConfigurationError(f"{path}: dt must be a number or \"auto\", got {value!r}")
         elif key == "t_snapshots":
-            if not isinstance(value, list) or not all(
-                isinstance(t, (int, float)) and not isinstance(t, bool) for t in value
-            ):
+            if not isinstance(value, list) or not all(_is_number(t) for t in value):
                 raise ConfigurationError(f"{path}: t_snapshots must be a list of numbers")
             fields[key] = tuple(float(t) for t in value)
         else:
-            try:
-                fields[key] = expected(value)
-            except (TypeError, ValueError):
+            # a number field takes a JSON number, and nx and nv an integral one
+            ok = isinstance(value, str) if expected is str else _is_number(value) and (
+                expected is float or isinstance(value, int) or value.is_integer()
+            )
+            if not ok:
                 raise ConfigurationError(
                     f"{path}: field {key} expects {expected.__name__}, got {value!r}"
-                ) from None
+                )
+            fields[key] = expected(value)
 
     missing = [
         k
@@ -251,17 +265,12 @@ def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
 
 
 def initialize_state(scenario: Scenario, grid: VelocityGrid | None = None) -> KineticState:
-    """Sample f0 at cell centers x_i = (i - 1/2) dx on the given grid.
-
-    f0 = exp(-(x - 1/2)^2) exp(-10 (1 - v)^2) is separable, so f is one
-    outer product of nx + nv exponentials, built velocity-major (Fortran
-    order), the layout ``Stepper`` keeps.
-    """
+    """Sample f0 at the cell centres on the given grid: f0 is separable, so f
+    is one outer product of its velocity and space profiles, built
+    velocity-major (Fortran order), the layout ``Stepper`` keeps."""
     if grid is None:
         grid = build_grid(scenario.nv // 2)
-    x = (np.arange(scenario.nx) + 0.5) * scenario.dx
-    v = grid.velocities
-    f = np.outer(np.exp(-10.0 * (1.0 - v) ** 2), np.exp(-((x - 0.5) ** 2))).T
+    f = np.outer(velocity_profile(grid.velocities), space_profile(scenario.x_centers - 0.5)).T
     rho = f.mean(axis=1)
     return KineticState(f=f, rho=rho, t=0.0)
 
@@ -286,7 +295,7 @@ class ScenarioRun:
 
     @property
     def x_centers(self) -> np.ndarray:
-        return (np.arange(self.scenario.nx) + 0.5) * self.scenario.dx
+        return self.scenario.x_centers
 
 
 def run_scenario(scenario: Scenario) -> ScenarioRun:

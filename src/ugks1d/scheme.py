@@ -70,6 +70,12 @@ BLOWUP_CHECK_EVERY = 2
 RHO_GAP_MAX = 1e-12
 
 
+def require_positive_finite(name: str, value: float) -> None:
+    """The rule for every physical and mesh parameter; NaN fails value > 0."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+
+
 class Variant(enum.Enum):
     EXPLICIT_DIFFUSION = "explicit"
     IMPLICIT_DIFFUSION = "implicit"
@@ -88,9 +94,7 @@ class SchemeParams:
 
     def __post_init__(self):
         for name in ("eta", "epsilon", "sigma", "dt", "dx"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+            require_positive_finite(name, getattr(self, name))
 
     @property
     def stiffness(self) -> float:
@@ -121,11 +125,6 @@ class FluxCoefficients:
     c_coef: float
     d_coef: float
     w: float
-
-
-def underflow_exp(w: float) -> float:
-    """e^w with hard underflow to 0 below -700, keeping huge exponents finite."""
-    return 0.0 if w < _UNDERFLOW else math.exp(w)
 
 
 def _expm1_over_w(w: float) -> float:

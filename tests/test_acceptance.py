@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 import ugks1d as u
 from ugks1d import reference, scheme
 
@@ -242,14 +243,14 @@ def test_criterion_10_transport_regime_operator_agreement(capsys, preset_runs):
 def test_criterion_11_bgk_interface_exactness(capsys):
     op = u.build_operator(u.OperatorKind.BGK, 100)
     params = u.SchemeParams(eta=0.3, epsilon=0.5, sigma=1.1, dt=2e-3, dx=0.01)
-    spec = reference.dense_spectral(op)
+    spec = oracles.dense_spectral(op)
     rng = np.random.default_rng(101)
     t_rels = (1e-4, 5e-4, 1e-3, 1.5e-3, 2e-3)
     worst = 0.0
     for _ in range(20):
         f_left, f_right = rng.random(100), rng.random(100)
         for t_rel in t_rels:
-            cmp_ = reference.interface_value_oracle(
+            cmp_ = oracles.interface_value_oracle(
                 t_rel, f_left, f_right, params, op, op.grid, params.dx, spec
             )
             worst = max(worst, cmp_.max_abs_diff)

@@ -1,26 +1,33 @@
-"""Checks on the analytic references and the dense interface oracle."""
+"""Checks on the analytic references and on the oracles in ``oracles.py``."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad, simpson
 
-from ugks1d.errors import ConfigurationError
-from ugks1d.reference import (
+from oracles import (
     assemble_M,
     c_weight,
-    chapman_enskog_residual,
     dense_spectral,
-    exact_diffusion_density,
     exact_transport,
+    f0,
     interface_value_oracle,
-    limit_diffusion_step,
     m_inverse,
-    make_initial_data,
+)
+from ugks1d.errors import ConfigurationError
+from ugks1d.reference import (
+    AMPLITUDE,
+    chapman_enskog_residual,
+    exact_diffusion_density,
+    limit_diffusion_step,
+    space_profile,
     transport_density,
     upwind_transport_step,
+    velocity_profile,
 )
 from ugks1d.scheme import SchemeParams
 from ugks1d.velocity_space import (
@@ -42,41 +49,41 @@ def make_params(eta=0.1, epsilon=0.1, sigma=1.0, dt=1e-3, dx=0.01):
     return SchemeParams(eta=eta, epsilon=epsilon, sigma=sigma, dt=dt, dx=dx)
 
 
+def rho0(x):
+    """The initial density, f0's exact velocity mean."""
+    return AMPLITUDE * np.exp(-((x - 0.5) ** 2))
+
+
 # -------------------------------------------------------------- initial data
 
 
 def test_initial_amplitude_frozen_value():
-    data = make_initial_data()
-    assert 0.13 <= data.amplitude <= 0.15
-    np.testing.assert_allclose(data.amplitude, 0.1401247804099482, rtol=1e-12)
+    assert 0.13 <= AMPLITUDE <= 0.15
+    np.testing.assert_allclose(AMPLITUDE, 0.1401247804099482, rtol=1e-12)
 
 
 def test_initial_density_is_scaled_gaussian():
-    data = make_initial_data()
+    # the space profile is the Gaussian on [0, 1], its ends included
     x = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_allclose(
-        data.rho0(x), data.amplitude * np.exp(-((x - 0.5) ** 2)), rtol=1e-15
-    )
+    np.testing.assert_allclose(AMPLITUDE * space_profile(x - 0.5), rho0(x), rtol=1e-15)
 
 
 def test_initial_state_concentrates_near_forward_velocities():
-    data = make_initial_data()
-    assert data.f0(0.5, 1.0) == 1.0
-    assert data.f0(0.5, -1.0) == math.exp(-40.0)
+    assert velocity_profile(1.0) == 1.0
+    assert velocity_profile(-1.0) == math.exp(-40.0)
     # velocity average sampled on a grid approaches the exact amplitude
     grid = build_grid(200)
-    rho = float(data.f0(0.5, grid.velocities).mean())
-    np.testing.assert_allclose(rho, data.amplitude, rtol=1e-4)
+    rho = float(velocity_profile(grid.velocities).mean())
+    np.testing.assert_allclose(rho, AMPLITUDE, rtol=1e-4)
 
 
 # ----------------------------------------------------------------- transport
 
 
 def test_exact_transport_at_time_zero():
-    data = make_initial_data()
     x = np.linspace(0.0, 1.0, 7)[:, None]
     v = build_grid(3).velocities[None, :]
-    np.testing.assert_array_equal(exact_transport(0.0, x, v), data.f0(x, v))
+    np.testing.assert_array_equal(exact_transport(0.0, x, v), f0(x, v))
 
 
 def test_exact_transport_full_period_recurrence():
@@ -85,14 +92,12 @@ def test_exact_transport_full_period_recurrence():
     grid = build_grid(2)
     x = np.linspace(0.0, 1.0, 9)[:, None]
     v = grid.velocities[None, :]
-    data = make_initial_data()
-    np.testing.assert_allclose(exact_transport(4.0, x, v), data.f0(x, v), rtol=1e-12)
+    np.testing.assert_allclose(exact_transport(4.0, x, v), f0(x, v), rtol=1e-12)
 
 
 def test_exact_transport_back_trace_point():
-    data = make_initial_data()
     value = exact_transport(0.05, 0.5, 0.99)
-    np.testing.assert_allclose(value, data.f0(0.4505, 0.99), rtol=1e-13)
+    np.testing.assert_allclose(value, f0(0.4505, 0.99), rtol=1e-13)
 
 
 def test_exact_transport_eta_rescales_time():
@@ -139,9 +144,8 @@ def test_transport_density_at_exact_wrap_ties():
 
 
 def test_diffusion_reference_conserves_mass():
-    data = make_initial_data()
     x = np.linspace(0.0, 1.0, 2001)
-    mass0 = float(simpson(data.rho0(x), x=x))
+    mass0 = float(simpson(rho0(x), x=x))
     for t in (1e-3, 0.05, 0.1):
         rho = exact_diffusion_density(t, x, kappa_abs=1.0 / 3.0)
         np.testing.assert_allclose(float(simpson(rho, x=x)), mass0, atol=1e-9)
@@ -151,9 +155,8 @@ def test_diffusion_reference_equilibrates():
     x = np.linspace(0.0, 1.0, 101)
     rho = exact_diffusion_density(30.0, x, kappa_abs=1.0 / 3.0)
     assert rho.max() - rho.min() <= 1e-6
-    data = make_initial_data()
     xf = np.linspace(0.0, 1.0, 2001)
-    mass = float(simpson(data.rho0(xf), x=xf))
+    mass = float(simpson(rho0(xf), x=xf))
     np.testing.assert_allclose(rho, mass, rtol=1e-6)
 
 
@@ -182,7 +185,7 @@ def test_diffusion_reference_matches_simpson_over_every_image(t, kappa):
     for j in range(-n_images, n_images + 1):
         kernel += np.exp(-((shifts + j) ** 2) / (4.0 * kt))
     kernel *= 1.0 / math.sqrt(4.0 * math.pi * kt)
-    full = simpson(kernel * make_initial_data().rho0(y)[None, :], x=y, axis=1)
+    full = simpson(kernel * rho0(y)[None, :], x=y, axis=1)
     np.testing.assert_allclose(exact_diffusion_density(t, x, kappa), full, rtol=0, atol=1e-10)
 
 
@@ -190,7 +193,6 @@ def test_diffusion_reference_matches_simpson_over_every_image(t, kappa):
 @pytest.mark.parametrize("x", [0.0, 0.13, 0.5, 0.99])
 def test_diffusion_reference_matches_adaptive_quadrature(t, kappa, x):
     kt = kappa * t
-    rho0 = make_initial_data().rho0
     images = np.arange(-30, 31)
 
     def integrand(y):
@@ -208,9 +210,8 @@ def test_diffusion_reference_matches_adaptive_quadrature(t, kappa, x):
 def test_diffusion_reference_keeps_the_exact_mass(kt):
     # the periodic trapezoid mean of the smooth solution is its exact integral,
     # A sqrt(pi) erf(1/2), so dropped image tails show up as lost mass
-    data = make_initial_data()
     x = np.arange(400) / 400
-    mass = data.amplitude * math.sqrt(math.pi) * math.erf(0.5)
+    mass = AMPLITUDE * math.sqrt(math.pi) * math.erf(0.5)
     rho = exact_diffusion_density(kt, x, kappa_abs=1.0)
     np.testing.assert_allclose(rho.mean(), mass, rtol=1e-13, atol=0)
 
@@ -530,3 +531,50 @@ def test_upwind_first_order_convergence():
         errors.append(float(np.abs(f - exact).max()))
     ratio = errors[0] / errors[1]
     assert 1.5 <= ratio <= 2.5, errors
+
+
+# ------------------------------------------------------------------ boundary
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ugks1d"
+
+# public names of reference.py that no other module of the package calls yet
+UNCALLED = {
+    "AMPLITUDE": "f0's exact velocity mean, used by exact_diffusion_density",
+    "chapman_enskog_residual": "the regime indicator that run telemetry will record",
+}
+
+
+def used_names(tree) -> set[str]:
+    """Every name a module loads, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_reference_name_has_a_caller_in_the_package():
+    public = set()
+    for node in ast.parse((PACKAGE / "reference.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            public.add(node.name)
+        elif isinstance(node, ast.Assign):
+            public.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in public if not name.startswith("_")}
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "reference.py":
+            called |= used_names(ast.parse(path.read_text()))
+    assert sorted(public - called - set(UNCALLED)) == []
+    assert set(UNCALLED) <= public
+
+
+def test_oracles_import_neither_stepper_nor_run():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not (imported | used_names(tree)) & {"Stepper", "run"}

@@ -8,9 +8,10 @@ import re
 import numpy as np
 import pytest
 
+from oracles import f0
 from ugks1d.cli import main
 from ugks1d.errors import ConfigurationError, SolverError
-from ugks1d.reference import make_initial_data
+from ugks1d.reference import AMPLITUDE
 from ugks1d.scenarios import (
     PRESETS,
     Reference,
@@ -123,11 +124,10 @@ def test_initialize_state_matches_analytic_density():
     assert state.t == 0.0
     assert state.f.shape == (100, 100)
     np.testing.assert_allclose(state.rho, state.f.mean(axis=1), rtol=1e-15)
-    data = make_initial_data()
     x = (np.arange(100) + 0.5) * scenario.dx
     # the midpoint velocity sum is exact here: the integrand's odd
     # derivatives vanish at both edges
-    np.testing.assert_allclose(state.rho, data.rho0(x), atol=1e-12)
+    np.testing.assert_allclose(state.rho, AMPLITUDE * np.exp(-((x - 0.5) ** 2)), atol=1e-12)
 
 
 def test_initialize_state_is_forward_peaked():
@@ -149,7 +149,7 @@ def test_initialize_state_samples_f0_velocity_major(nx, nv):
     grid = build_operator(scenario.operator, nv).grid
     state = initialize_state(scenario, grid)
     x = (np.arange(nx) + 0.5) * scenario.dx
-    expected = make_initial_data().f0(x[:, None], grid.velocities[None, :])
+    expected = f0(x[:, None], grid.velocities[None, :])
     np.testing.assert_allclose(state.f, expected, rtol=1e-14, atol=0)
     assert state.f.flags.f_contiguous
     np.testing.assert_array_equal(state.rho, state.f.mean(axis=1))
@@ -314,6 +314,35 @@ def test_load_scenario_rejects_bad_field_values(tmp_path):
         load_scenario(write_config(tmp_path, reference="heat"))
     with pytest.raises(ConfigurationError, match="variant"):
         load_scenario(write_config(tmp_path, variant="semi"))
+    # typed fields take JSON numbers as they are: no truncation, no bool, no string
+    with pytest.raises(ConfigurationError, match="nx expects int, got 10.7"):
+        load_scenario(write_config(tmp_path, nx=10.7))
+    with pytest.raises(ConfigurationError, match="nx expects int, got True"):
+        load_scenario(write_config(tmp_path, nx=True))
+    with pytest.raises(ConfigurationError, match="nv expects int, got '4'"):
+        load_scenario(write_config(tmp_path, nv="4"))
+    with pytest.raises(ConfigurationError, match="eta expects float, got '1'"):
+        load_scenario(write_config(tmp_path, eta="1"))
+    with pytest.raises(ConfigurationError, match="sigma expects float, got False"):
+        load_scenario(write_config(tmp_path, sigma=False))
+    with pytest.raises(ConfigurationError, match="name expects str, got 3"):
+        load_scenario(write_config(tmp_path, name=3))
+
+
+def test_load_scenario_takes_integral_numbers_for_counts(tmp_path):
+    scenario = load_scenario(write_config(tmp_path, nx=10.0, nv=4.0, eta=1))
+    assert (scenario.nx, scenario.nv) == (10, 4)
+    assert type(scenario.nx) is int and type(scenario.nv) is int
+    assert type(scenario.eta) is float
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["eta", "epsilon", "sigma", "dt", "t_snapshots"])
+def test_scenario_rejects_non_finite_numbers(field, value):
+    numbers = dict(eta=1.0, epsilon=1.0, sigma=1.0, dt=1e-3, t_snapshots=(0.1,))
+    numbers[field] = (0.05, value) if field == "t_snapshots" else value
+    with pytest.raises(ConfigurationError, match="must be positive and finite"):
+        Scenario(name="x", operator=OperatorKind.BGK, nx=10, nv=4, **numbers)
 
 
 def test_load_scenario_missing_required_fields(tmp_path):
@@ -527,6 +556,24 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("config-error:")
+
+
+NON_FINITE_INPUTS = {
+    "nan-snapshot": lambda tmp: ["run", "--config", str(write_config(tmp, t_snapshots=[math.nan]))],
+    "inf-snapshot": lambda tmp: ["run", "--config", str(write_config(tmp, t_snapshots=[math.inf]))],
+    "sweep-nan": lambda tmp: ["ap-sweep", "--t-end", "nan"],
+    "compare-inf": lambda tmp: ["compare-variants", "--preset", "diffusive", "--t-end", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_cli_rejects_non_finite_numbers_as_config_errors(tmp_path, capsys, case):
+    code = main(NON_FINITE_INPUTS[case](tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config-error:") and captured.err.count("\n") == 1
+    assert "must be positive and finite" in captured.err
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):
