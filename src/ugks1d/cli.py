@@ -72,6 +72,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.probes < 1:  # zero probes would report a pass that checked nothing
+        raise ConfigurationError(f"--probes must be at least 1, got {args.probes}")
     op = build_operator(OperatorKind(args.operator), args.nv)
     report = validate_operator(op.matrix)
     for line in report.lines():

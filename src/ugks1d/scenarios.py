@@ -59,6 +59,16 @@ class Reference(enum.Enum):
     LIMIT_FD = "limit-fd"  # explicit finite-difference limit scheme, step by step
 
 
+# dx = 1/nx and the velocities (2j - 2N - 1)/2N are computed in floats,
+# which hold every integer only up to 2**53
+_MAX_MESH_COUNT = 2**53
+
+
+def _require_velocity_count(nv: int) -> None:
+    if nv < 2 or nv % 2 or nv > _MAX_MESH_COUNT:
+        raise ConfigurationError(f"nv must be even and in [2, 2**53], got {nv}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -76,10 +86,9 @@ class Scenario:
     def __post_init__(self):
         for field in ("eta", "epsilon", "sigma"):
             require_positive_finite(field, getattr(self, field))
-        if self.nx < 3:
-            raise ConfigurationError(f"nx must be at least 3, got {self.nx}")
-        if self.nv < 2 or self.nv % 2:
-            raise ConfigurationError(f"nv must be even and >= 2, got {self.nv}")
+        if not 3 <= self.nx <= _MAX_MESH_COUNT:
+            raise ConfigurationError(f"nx must be in [3, 2**53], got {self.nx}")
+        _require_velocity_count(self.nv)
         if self.dt is not None:
             require_positive_finite("dt", self.dt)
         if not self.t_snapshots:
@@ -194,6 +203,8 @@ def load_scenario(source: str | Path) -> Scenario:
         raise ConfigurationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # not UTF-8, or an integer beyond Python's 4,300 digits
+        raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: config root must be a JSON object")
 
@@ -254,8 +265,7 @@ def load_scenario(source: str | Path) -> Scenario:
 
 
 def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
-    if nv < 2 or nv % 2:
-        raise ConfigurationError(f"nv must be even and >= 2, got {nv}")
+    _require_velocity_count(nv)
     grid = build_grid(nv // 2)
     if kind is OperatorKind.BGK:
         return build_bgk(grid)

@@ -464,8 +464,10 @@ def run(
             f"state.rho is not the velocity mean of state.f: largest gap {worst:.3e} in cell {cell}"
         )
     if n_steps is None:
-        span = t_end - state.t
-        n_steps = 0 if span <= 0 else int(math.ceil(span / params.dt - 1e-9))
+        steps = (t_end - state.t) / params.dt
+        if not math.isfinite(steps):
+            raise ConfigurationError(f"(t_end - t) / dt = {steps} is not a finite step count")
+        n_steps = 0 if steps <= 0 else int(math.ceil(steps - 1e-9))
 
     dx_mass = params.dx
     m0 = dx_mass * float(state.rho.sum())

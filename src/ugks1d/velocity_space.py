@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError
 
@@ -237,6 +236,18 @@ class ValidationReport:
         return out
 
 
+def _reaches_every_vertex(edges: np.ndarray) -> bool:
+    """Whether a breadth-first sweep from vertex 0 along the edges i -> j,
+    edges[i, j] true, reaches every vertex; one row gather per level."""
+    seen = np.zeros(len(edges), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 _SYMMETRY_TOL = 1e-14
 _ROW_SUM_TOL = 1e-13
 _SEMIDEFINITE_TOL = 1e-12
@@ -274,8 +285,10 @@ def validate_operator(matrix: np.ndarray) -> ValidationReport:
     kernel_tol = 1e-8 * scale
     kernel_dim = int(np.count_nonzero(np.abs(eigenvalues) <= kernel_tol))
 
-    # self-loops (the diagonal) do not change the strong components
-    components, _ = connected_components(d > 0.0, directed=True, connection="strong")
+    # strongly connected: vertex 0 reaches every vertex, and every vertex
+    # reaches 0 (vertex 0 reaches it along the reversed edges)
+    edges = d > 0.0
+    irreducible = _reaches_every_vertex(edges) and _reaches_every_vertex(edges.T)
     return ValidationReport(
         checks={
             "symmetric": asymmetry <= _SYMMETRY_TOL,
@@ -283,7 +296,7 @@ def validate_operator(matrix: np.ndarray) -> ValidationReport:
             "nonnegative_off_diagonal": min_off >= 0.0,
             "negative_semidefinite": max_eig <= _SEMIDEFINITE_TOL,
             "kernel_is_constants": kernel_dim == 1 and row_sums <= _ROW_SUM_TOL,
-            "irreducible": components == 1,
+            "irreducible": irreducible,
         },
         details={
             "symmetric": asymmetry,

@@ -21,6 +21,7 @@ from oracles import (
 from ugks1d.errors import ConfigurationError
 from ugks1d.reference import (
     AMPLITUDE,
+    _erf,
     chapman_enskog_residual,
     exact_diffusion_density,
     limit_diffusion_step,
@@ -244,6 +245,56 @@ def test_diffusion_reference_scalar_input():
     assert isinstance(value, float)
     array = exact_diffusion_density(0.05, np.array([0.5]), 1.0 / 3.0)
     np.testing.assert_allclose(value, array[0], rtol=1e-15)
+
+
+# a grid over +-8, signed zeros, subnormals, both sides of the |z| = 6 cut,
+# where erf(z) already rounds to +-1, and NaN last
+_BELOW_CUT = math.nextafter(6.0, 0.0)
+ERF_POINTS = np.concatenate([
+    np.linspace(-8.0, 8.0, 4001),
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320],
+    [5.9, 5.93, _BELOW_CUT, 6.0, math.nextafter(6.0, 7.0)],
+    [-5.9, -5.93, -_BELOW_CUT, -6.0, -math.nextafter(6.0, 7.0)],
+    [math.nan],
+])
+
+
+def test_erf_matches_scipy_within_two_ulp():
+    from scipy.special import erf
+
+    ours, expected = _erf(ERF_POINTS), erf(ERF_POINTS)
+    assert np.isnan(ours[-1])
+    ours, expected = ours[:-1], expected[:-1]
+    assert np.all(np.abs(ours - expected) <= 2.0 * np.spacing(np.abs(expected)))
+    assert np.array_equal(np.signbit(ours), np.signbit(expected))
+    # both sides of the cut round to exactly +-1
+    assert set(ours[np.abs(ERF_POINTS[:-1]) >= 5.93]) == {-1.0, 1.0}
+
+
+def test_erf_is_within_one_ulp_of_the_exact_value():
+    mp = pytest.importorskip("mpmath")
+    for z in ERF_POINTS[:-1:7]:
+        exact = mp.erf(mp.mpf(float(z)))
+        ulp = np.spacing(abs(float(exact)))
+        assert abs(float(mp.mpf(float(_erf(np.array([z]))[0])) - exact)) <= ulp, z
+
+
+def test_diffusion_reference_matches_the_scipy_erf_formula_at_the_benchmark_snapshot():
+    # the diffusive-sc benchmark workload: sc at N_v = 100, eps = eta, t = 0.005
+    from scipy.special import erf
+
+    kappa = 1.0 / (3.0 * abs(build_scattering(build_grid(50)).lambda_star))
+    t = 0.005
+    x = (np.arange(100) + 0.5) / 100
+    kt = kappa * t
+    s = 1.0 + 4.0 * kt
+    r = math.sqrt(s / (4.0 * kt))
+    n_images = math.ceil(math.sqrt(40.0 * s) - 0.5)
+    c = x[None, :] + np.arange(-n_images, n_images + 1, dtype=float)[:, None]
+    m = (c + 2.0 * kt) / s
+    terms = np.exp(-((c - 0.5) ** 2) / s) * (erf(r * (1.0 - m)) + erf(r * m))
+    expected = (AMPLITUDE / (2.0 * math.sqrt(s))) * terms.sum(axis=0)
+    np.testing.assert_allclose(exact_diffusion_density(t, x, kappa), expected, rtol=1e-15, atol=0)
 
 
 def test_limit_step_constant_and_mass():

@@ -79,11 +79,14 @@ def test_scenario_validation():
         nx=10, nv=4, dt=1e-3, t_snapshots=(0.1,),
     )
     Scenario(**good)
+    Scenario(**{**good, "nx": 2**53, "nv": 2**53})  # the largest exact float counts
     for bad in (
         dict(eta=0.0),
         dict(nx=2),
+        dict(nx=2**53 + 1),
         dict(nv=5),
         dict(nv=0),
+        dict(nv=2**53 + 2),
         dict(dt=-1e-3),
         dict(t_snapshots=()),
         dict(t_snapshots=(0.2, 0.1)),
@@ -574,6 +577,41 @@ def test_cli_rejects_non_finite_numbers_as_config_errors(tmp_path, capsys, case)
     assert captured.out == ""
     assert captured.err.startswith("config-error:") and captured.err.count("\n") == 1
     assert "must be positive and finite" in captured.err
+
+
+# each overflowed a float conversion and exited 1 as an internal error
+OVERFLOWING_CONFIGS = {
+    "step-count": dict(dt=1e-300, t_snapshots=[1e300]),
+    "nx-401-digits": dict(nx=10**400),
+    "nv-401-digits": dict(nv=10**400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_CONFIGS))
+def test_cli_rejects_counts_beyond_float_range_as_config_errors(tmp_path, capsys, case):
+    code = main(["run", "--config", str(write_config(tmp_path, **OVERFLOWING_CONFIGS[case]))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config-error:") and captured.err.count("\n") == 1
+
+
+def test_cli_rejects_an_integer_beyond_the_json_parser_digit_limit(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text('{"operator": "bgk", "eta": 1, "epsilon": 1, "nv": 4, "nx": 1' + "0" * 5000 + "}")
+    code = main(["run", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config-error:") and "digits" in captured.err
+
+
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_cli_validate_operator_rejects_fewer_than_one_probe(capsys, probes):
+    code = main(["validate-operator", "--operator", "bgk", "--nv", "10", "--probes", probes])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"config-error: --probes must be at least 1, got {probes}\n"
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):

@@ -184,6 +184,25 @@ def test_validation_flags_a_one_way_chain_as_reducible():
     assert not report.passed
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_irreducibility_agrees_with_strong_components(n):
+    # the reachability sweep against scipy's graph search, on random
+    # directed graphs from empty to complete; each seed draws its own density
+    from scipy.sparse.csgraph import connected_components
+
+    seen = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        edges = rng.random((n, n)) < rng.random()
+        matrix = np.where(edges, rng.random((n, n)), 0.0)
+        np.fill_diagonal(matrix, 0.0)
+        np.fill_diagonal(matrix, -matrix.sum(axis=1))
+        components, _ = connected_components(matrix > 0.0, directed=True, connection="strong")
+        assert validate_operator(matrix).checks["irreducible"] == (components == 1), seed
+        seen.add(components == 1)
+    assert seen == ({True} if n == 1 else {True, False})
+
+
 def test_validation_report_lines_follow_the_checks():
     report = validate_operator(build_fokker_planck(build_grid(2)).matrix)
     assert list(report.checks) == [
