@@ -3,7 +3,7 @@
 Subcommands
 -----------
 run                advance a scenario, print error norms, write snapshot CSVs
-validate-operator  structural checks plus randomized probes on one operator
+validate-operator  structural checks and lambda* of one operator
 lambda-star        pseudo-eigenvalue table across velocity resolutions
 ap-sweep           stability/accuracy sweep across stiffness
 compare-variants   explicit vs implicit-diffusion gap and its dt-refinement ratio
@@ -19,8 +19,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from .errors import ConfigurationError, SolverError
 from .scenarios import (
     PRESETS,
@@ -32,12 +30,7 @@ from .scenarios import (
     variant_gap,
 )
 from .scheme import Variant
-from .velocity_space import (
-    OperatorKind,
-    entropy_dissipation,
-    pseudo_inverse_apply,
-    validate_operator,
-)
+from .velocity_space import OperatorKind, validate_operator
 
 _OPERATOR_CHOICES = [kind.value for kind in OperatorKind]
 _VARIANT_CHOICES = [variant.value for variant in Variant]
@@ -72,40 +65,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if args.probes < 1:  # zero probes would report a pass that checked nothing
-        raise ConfigurationError(f"--probes must be at least 1, got {args.probes}")
     op = build_operator(OperatorKind(args.operator), args.nv)
     report = validate_operator(op.matrix)
     for line in report.lines():
         print(line)
     print(f"lambda_star = {op.lambda_star:.12g}")
-
-    rng = np.random.default_rng(args.seed)
-    n = op.size
-    worst_entropy = 0.0
-    for _ in range(args.probes):
-        state = np.exp(rng.normal(size=n))
-        worst_entropy = max(worst_entropy, entropy_dissipation(op, state))
-    residual = 0.0
-    for _ in range(args.probes):
-        phi = rng.normal(size=n)
-        phi -= phi.mean()
-        psi = pseudo_inverse_apply(op, phi)
-        residual = max(
-            residual,
-            float(np.linalg.norm(op.matrix @ psi - phi) / np.linalg.norm(phi)),
-        )
-    entropy_ok = worst_entropy <= 1e-12
-    inverse_ok = residual <= 1e-9
-    print(f"entropy dissipation <= 0 on random states: {'ok' if entropy_ok else 'FAIL'}"
-          f" (max {worst_entropy:.3e})")
-    print(f"pseudo-inverse residual on random mean-zero data: "
-          f"{'ok' if inverse_ok else 'FAIL'} (max {residual:.3e})")
-
-    if report.passed and entropy_ok and inverse_ok:
+    if report.passed:
         print("operator-valid")
         return 0
-    print("validation-failed: structural or probe checks failed", file=sys.stderr)
+    print("validation-failed: structural checks failed", file=sys.stderr)
     return 5
 
 
@@ -170,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate-operator", help="check collision-operator structure")
     val_p.add_argument("--operator", choices=_OPERATOR_CHOICES, required=True)
     val_p.add_argument("--nv", type=int, default=100, help="number of velocities (even)")
-    val_p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
-    val_p.add_argument("--probes", type=int, default=10, help="random states per check")
     val_p.set_defaults(func=_cmd_validate)
 
     lam_p = sub.add_parser("lambda-star", help="pseudo-eigenvalue table")

@@ -32,6 +32,7 @@ from .reference import (
     velocity_profile,
 )
 from .scheme import (
+    MAX_EXACT_COUNT,
     KineticState,
     RunResult,
     SchemeParams,
@@ -59,13 +60,8 @@ class Reference(enum.Enum):
     LIMIT_FD = "limit-fd"  # explicit finite-difference limit scheme, step by step
 
 
-# dx = 1/nx and the velocities (2j - 2N - 1)/2N are computed in floats,
-# which hold every integer only up to 2**53
-_MAX_MESH_COUNT = 2**53
-
-
 def _require_velocity_count(nv: int) -> None:
-    if nv < 2 or nv % 2 or nv > _MAX_MESH_COUNT:
+    if nv < 2 or nv % 2 or nv > MAX_EXACT_COUNT:
         raise ConfigurationError(f"nv must be even and in [2, 2**53], got {nv}")
 
 
@@ -86,7 +82,7 @@ class Scenario:
     def __post_init__(self):
         for field in ("eta", "epsilon", "sigma"):
             require_positive_finite(field, getattr(self, field))
-        if not 3 <= self.nx <= _MAX_MESH_COUNT:
+        if not 3 <= self.nx <= MAX_EXACT_COUNT:
             raise ConfigurationError(f"nx must be in [3, 2**53], got {self.nx}")
         _require_velocity_count(self.nv)
         if self.dt is not None:

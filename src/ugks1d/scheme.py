@@ -58,7 +58,9 @@ from .linalg import (
 )
 from .velocity_space import CollisionOperator, OperatorKind, VelocityGrid
 
-_UNDERFLOW = -700.0
+# the largest count every float holds exactly: dx = 1/nx, the velocities and
+# the step count (t_end - t)/dt are computed in floats
+MAX_EXACT_COUNT = 2**53
 # largest relative mass drift run() accepts; a sound run drifts by round-off
 MASS_DRIFT_MAX = 1e-9
 # run() also checks the mass every this many steps, not only at snapshots.
@@ -129,8 +131,6 @@ class FluxCoefficients:
 
 def _expm1_over_w(w: float) -> float:
     """(e^w - 1)/w, stable for every w < 0."""
-    if w < _UNDERFLOW:
-        return -1.0 / w
     if abs(w) <= 1e-6:
         return 1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0))
     return math.expm1(w) / w
@@ -142,8 +142,6 @@ def duhamel_bracket(w: float) -> float:
     The direct form cancels catastrophically near w = 0 (the value is
     w^2/6 + O(w^3)), so a convergent series handles |w| <= 1/2.
     """
-    if w < _UNDERFLOW:
-        return 1.0 + 2.0 / w
     if abs(w) <= 0.5:
         # sum_{k>=2} (k-1) w^k/(k+1)!; successive ratio w k/((k-1)(k+2))
         term = w * w / 6.0
@@ -465,8 +463,10 @@ def run(
         )
     if n_steps is None:
         steps = (t_end - state.t) / params.dt
-        if not math.isfinite(steps):
-            raise ConfigurationError(f"(t_end - t) / dt = {steps} is not a finite step count")
+        if not steps <= MAX_EXACT_COUNT:  # also rejects NaN and inf
+            raise ConfigurationError(
+                f"(t_end - t) / dt = {steps} is not a step count of at most 2**53"
+            )
         n_steps = 0 if steps <= 0 else int(math.ceil(steps - 1e-9))
 
     dx_mass = params.dx

@@ -177,7 +177,7 @@ def _solve_mean_zero(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     psi += cho_solve(factor, matrix @ psi - phi)
     psi -= psi.mean()
     residual = np.linalg.norm(matrix @ psi - phi)
-    if not residual <= 1e-9 * np.linalg.norm(phi):  # the bound validate-operator checks
+    if not residual <= 1e-9 * np.linalg.norm(phi):
         raise ConfigurationError(
             "operator-invalid: the kernel of D is larger than the constants "
             f"(relative residual {residual / np.linalg.norm(phi):.3e} of D psi = phi)"
@@ -306,24 +306,6 @@ def validate_operator(matrix: np.ndarray) -> ValidationReport:
             "kernel_is_constants": float(kernel_dim),
         },
     )
-
-
-def pseudo_inverse_apply(op: CollisionOperator, phi: np.ndarray) -> np.ndarray:
-    """Apply D^+: solve D psi = phi with <psi, 1> = 0.
-
-    ``phi`` must be mean-zero to within 1e-10 of its norm; D^+ is only
-    defined on the range of D.
-    """
-    phi = np.asarray(phi, dtype=float)
-    norm = float(np.linalg.norm(phi))
-    if norm == 0.0:
-        return np.zeros_like(phi)
-    if abs(float(phi.sum())) > 1e-10 * norm:
-        raise ConfigurationError(
-            "pseudo_inverse_apply needs a mean-zero input; "
-            f"got <phi,1> = {float(phi.sum()):.3e} with |phi| = {norm:.3e}"
-        )
-    return _solve_mean_zero(op.matrix, phi)
 
 
 def entropy_dissipation(op: CollisionOperator, f_values: np.ndarray) -> float:

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ugks1d.errors import ConfigurationError
-from ugks1d.scheme import _UNDERFLOW, FluxCoefficients, SchemeParams
+from ugks1d.scheme import FluxCoefficients, SchemeParams
 from ugks1d.velocity_space import CollisionOperator, VelocityGrid
+
+# below this exponent the oracles take e^w as exactly 0 (e^-700 is 1e-304)
+_UNDERFLOW = -700.0
 
 
 def underflow_exp(w: float) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # a small diffusive sc run (heat-kernel reference), a small transport bgk run
-# (transport reference) and validate-operator (structural checks and probes)
+# (transport reference) and validate-operator (structural checks)
 SCRIPT = """
 import contextlib, dataclasses, io, sys, tempfile
 import ugks1d
