@@ -72,7 +72,7 @@ def _erf(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_diffusion_density(t: float, x, kappa_abs: float):
+def exact_diffusion_density(t: float, x, kappa_abs: float) -> np.ndarray:
     """Density of the limiting heat equation on the unit torus, exact to round-off.
 
     rho(t,x) = integral_0^1 K_per(x - y; kappa t) rho0(y) dy, rho0 = f0's mean.
@@ -90,18 +90,16 @@ def exact_diffusion_density(t: float, x, kappa_abs: float):
         raise ConfigurationError(f"diffusion reference needs t > 0, got {t}")
     if not kappa_abs > 0:
         raise ConfigurationError(f"kappa must be positive, got {kappa_abs}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     kt = kappa_abs * t
     s = 1.0 + 4.0 * kt
     r = math.sqrt(s / (4.0 * kt))
     n_images = math.ceil(math.sqrt(40.0 * s) - 0.5)
     images = np.arange(-n_images, n_images + 1, dtype=float)[:, None]
-    c = np.mod(np.atleast_1d(x), 1.0)[None, :] + images
+    c = np.mod(x, 1.0)[None, :] + images
     m = (c + 2.0 * kt) / s
     terms = np.exp(-((c - 0.5) ** 2) / s) * (_erf(r * (1.0 - m)) + _erf(r * m))
-    values = (AMPLITUDE / (2.0 * math.sqrt(s))) * terms.sum(axis=0)
-    return float(values[0]) if scalar else values
+    return (AMPLITUDE / (2.0 * math.sqrt(s))) * terms.sum(axis=0)
 
 
 def limit_diffusion_step(rho: np.ndarray, dt: float, dx: float, kappa_d: float) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 A Scenario bundles everything one run needs: collision operator kind,
 physical parameters (eta, epsilon, sigma), mesh sizes, time step (fixed
-or from the stability law 0.5 dx^2 + 0.5 eta dx), snapshot times, stepping
-variant, and which analytic reference to compare against.  Three presets
-cover the canonical regimes on the unit torus with N_x = N_v = 100,
-sigma = 1 and dt = 1e-5:
+or from the empirical law 0.5 dx^2 + 0.5 eta dx, which is not a stability
+bound; see ROADMAP item 3), snapshot times, stepping variant, and which
+analytic reference to compare against.  Three presets cover the canonical
+regimes on the unit torus with N_x = N_v = 100, sigma = 1 and dt = 1e-5:
 
 * ``transport``    eta = 1,    eps = 100   (collisions negligible)
 * ``intermediate`` eta = 0.1,  eps = 0.1
@@ -18,6 +18,7 @@ import dataclasses
 import enum
 import json
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ class Scenario:
     sigma: float
     nx: int
     nv: int
-    dt: float | None  # None means the stability law decides
+    dt: float | None  # None: default_time_step's empirical law, not a stability bound
     t_snapshots: tuple[float, ...]
     variant: Variant = Variant.EXPLICIT_DIFFUSION
     reference: Reference | None = None
@@ -82,6 +83,12 @@ class Scenario:
     def __post_init__(self):
         for field in ("eta", "epsilon", "sigma"):
             require_positive_finite(field, getattr(self, field))
+        for field in ("nx", "nv"):
+            value = getattr(self, field)
+            try:  # index takes numpy integers and rejects floats, 10.0 included
+                index(None if isinstance(value, bool) else value)
+            except TypeError:
+                raise ConfigurationError(f"{field} expects int, got {value!r}") from None
         if not 3 <= self.nx <= MAX_EXACT_COUNT:
             raise ConfigurationError(f"nx must be in [3, 2**53], got {self.nx}")
         _require_velocity_count(self.nv)
@@ -235,16 +242,14 @@ def load_scenario(source: str | Path) -> Scenario:
                 fields[key] = float(value)
             else:
                 raise ConfigurationError(f"{path}: dt must be a number or \"auto\", got {value!r}")
+        elif expected is int:  # Scenario rejects what is not an integer
+            fields[key] = int(value) if isinstance(value, float) and value.is_integer() else value
         elif key == "t_snapshots":
             if not isinstance(value, list) or not all(_is_number(t) for t in value):
                 raise ConfigurationError(f"{path}: t_snapshots must be a list of numbers")
             fields[key] = tuple(float(t) for t in value)
         else:
-            # a number field takes a JSON number, and nx and nv an integral one
-            ok = isinstance(value, str) if expected is str else _is_number(value) and (
-                expected is float or isinstance(value, int) or value.is_integer()
-            )
-            if not ok:
+            if not (isinstance(value, str) if expected is str else _is_number(value)):
                 raise ConfigurationError(
                     f"{path}: field {key} expects {expected.__name__}, got {value!r}"
                 )

@@ -240,13 +240,6 @@ def test_diffusion_reference_rejects_bad_arguments():
         exact_diffusion_density(0.1, 0.5, 0.0)
 
 
-def test_diffusion_reference_scalar_input():
-    value = exact_diffusion_density(0.05, 0.5, 1.0 / 3.0)
-    assert isinstance(value, float)
-    array = exact_diffusion_density(0.05, np.array([0.5]), 1.0 / 3.0)
-    np.testing.assert_allclose(value, array[0], rtol=1e-15)
-
-
 # a grid over +-8, signed zeros, subnormals, both sides of the |z| = 6 cut,
 # where erf(z) already rounds to +-1, and NaN last
 _BELOW_CUT = math.nextafter(6.0, 0.0)

@@ -96,6 +96,14 @@ def test_scenario_validation():
     ):
         with pytest.raises(ConfigurationError):
             Scenario(**{**good, **bad})
+    # the counts are integers: numpy's pass, and a float, a bool or a string does not
+    Scenario(**{**good, "nx": np.int64(10), "nv": np.int32(4)})
+    for field, value in (("nx", 10.7), ("nx", 10.0), ("nv", 4.0), ("nx", True), ("nv", "4")):
+        message = f"^{field} expects int, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            Scenario(**{**good, field: value})
+    with pytest.raises(ConfigurationError, match="nx expects int, got 50.5"):
+        dataclasses.replace(PRESETS["diffusive"], nx=50.5)
 
 
 def test_resolved_dt():
@@ -497,6 +505,18 @@ def test_cli_run_with_config(tmp_path, capsys):
     assert "scenario tiny operator bgk" in captured.out
     assert "mass drift" in captured.out
     assert (out_dir / "tiny_bgk_t0.002.csv").is_file()
+
+
+def test_cli_run_writes_every_snapshot_of_a_long_run(tmp_path, capsys):
+    # after 304 steps of 0.7 the summed time falls short of 212.8 by more than
+    # 1e-12; both snapshots still come from the step-count rule
+    config = write_config(
+        tmp_path, name="late", eta=10.0, nx=3, nv=2, dt=0.7, t_snapshots=[212.8, 213.5]
+    )
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    assert re.findall(r"^  t=(\S+)", capsys.readouterr().out, flags=re.M) == ["0", "212.8", "213.5"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["late_bgk_t212.8.csv", "late_bgk_t213.5.csv"]
 
 
 def test_cli_run_operator_override(tmp_path, capsys):

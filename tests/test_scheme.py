@@ -825,6 +825,42 @@ def test_run_snapshot_placement():
         np.testing.assert_allclose(snap.mass, params.dx * snap.rho.sum(), rtol=1e-15)
 
 
+def constant_run(t0=0.0, dt=0.7, **horizon):
+    """run() on a constant state, a fixed point, at eta = 10 on three cells."""
+    op = build_bgk(build_grid(1))
+    state = KineticState(np.full((3, 2), 0.5), np.full(3, 0.5), t0)
+    return run(state, make_params(eta=10.0, epsilon=1.0, dt=dt, dx=1.0 / 3), op, op.grid, **horizon)
+
+
+def test_run_snapshot_steps_follow_the_step_count_rule():
+    # after 304 steps of 0.7 the summed time falls short of 212.8 by more than
+    # 1e-12, so a time comparison took that snapshot one step late, at the
+    # last step, and dropped the 213.5 one
+    result = constant_run(t_end=213.5, snapshot_times=(212.8, 213.5))
+    assert [snap.step for snap in result.snapshots] == [0, 304, 305]
+    assert constant_run(t_end=212.8).steps == 304
+
+
+def test_run_gives_two_times_in_one_step_one_snapshot():
+    result = constant_run(dt=1e-3, t_end=0.004, snapshot_times=(0.0025, 0.0026, 0.004))
+    assert [snap.step for snap in result.snapshots] == [0, 3, 4]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(-1e4, 1e4),
+    st.floats(0.05, 1.0),
+    st.lists(st.one_of(st.floats(-2.0, 100.0), st.integers(-2, 100)), min_size=1, max_size=4),
+)
+def test_each_snapshot_sits_at_the_step_count_of_its_time(t0, dt, offsets):
+    # far from t = 0 the summed time drifts from t0 + k dt by more than 1e-12
+    # within a few steps; integer offsets put a time on a multiple of dt
+    times = sorted({t0 + dt * x for x in offsets})
+    result = constant_run(t0, dt, t_end=times[-1], snapshot_times=tuple(times))
+    expected = {0} | {constant_run(t0, dt, t_end=t).steps for t in times}
+    assert [snap.step for snap in result.snapshots] == sorted(expected)
+
+
 def test_mass_drift_of_a_mean_zero_density():
     # rows of alternating +-1: rho = 0 in every cell and the mass is zero
     op = build_bgk(build_grid(2))
