@@ -44,14 +44,9 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_scenario(args):
     scenario = load_scenario(args.preset if args.preset else args.config)
-    overrides = {}
-    if getattr(args, "operator", None):
-        overrides["operator"] = OperatorKind(args.operator)
-    if getattr(args, "variant", None):
-        overrides["variant"] = Variant(args.variant)
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-    return scenario
+    # argparse's value strings, as given: Scenario checks them
+    overrides = {k: getattr(args, k) for k in ("operator", "variant") if getattr(args, k, None)}
+    return dataclasses.replace(scenario, **overrides)
 
 
 def _cmd_run(args) -> int:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from operator import index
 from pathlib import Path
 
@@ -38,7 +40,9 @@ from .scheme import (
     RunResult,
     SchemeParams,
     Variant,
+    _steps_to,
     default_time_step,
+    require_choice,
     require_positive_finite,
     run,
 )
@@ -68,6 +72,15 @@ def _require_velocity_count(nv: int) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run.  Its fields are checked here, however the record is built: by
+    a config, a CLI override, ``dataclasses.replace`` or a library call.
+    ``operator``, ``variant`` and ``reference`` (or None) take a member or its
+    value string and store the member; ``eta``, ``epsilon``, ``sigma`` and
+    ``dt`` (or None) are real numbers, not bools or strings, positive and
+    finite; ``nx`` and ``nv`` are integers; ``t_snapshots`` is any sequence of
+    increasing positive times, stored as a tuple; ``name`` is a str.
+    """
+
     name: str
     operator: OperatorKind
     eta: float
@@ -81,8 +94,15 @@ class Scenario:
     reference: Reference | None = None
 
     def __post_init__(self):
-        for field in ("eta", "epsilon", "sigma"):
-            require_positive_finite(field, getattr(self, field))
+        store = partial(object.__setattr__, self)  # the record is frozen
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"name expects str, got {self.name!r}")
+        store("operator", require_choice(OperatorKind, "operator", self.operator))
+        store("variant", require_choice(Variant, "variant", self.variant))
+        if self.reference is not None:
+            store("reference", require_choice(Reference, "reference", self.reference))
+        for field in ("eta", "epsilon", "sigma") + (("dt",) if self.dt is not None else ()):
+            store(field, require_positive_finite(field, getattr(self, field)))
         for field in ("nx", "nv"):
             value = getattr(self, field)
             try:  # index takes numpy integers and rejects floats, 10.0 included
@@ -92,15 +112,15 @@ class Scenario:
         if not 3 <= self.nx <= MAX_EXACT_COUNT:
             raise ConfigurationError(f"nx must be in [3, 2**53], got {self.nx}")
         _require_velocity_count(self.nv)
-        if self.dt is not None:
-            require_positive_finite("dt", self.dt)
-        if not self.t_snapshots:
-            raise ConfigurationError("at least one snapshot time is required")
         times = self.t_snapshots
-        for t in times:
-            require_positive_finite("snapshot time", t)
+        if isinstance(times, str) or not isinstance(times, Iterable):
+            raise ConfigurationError(f"t_snapshots expects a sequence of numbers, got {times!r}")
+        times = tuple(require_positive_finite("snapshot time", t) for t in times)
+        if not times:
+            raise ConfigurationError("at least one snapshot time is required")
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ConfigurationError("snapshot times must be strictly increasing")
+        store("t_snapshots", times)
 
     @property
     def dx(self) -> float:
@@ -122,76 +142,29 @@ class Scenario:
         return self.t_snapshots[-1]
 
 
+_PAPER_RUN = dict(operator=OperatorKind.BGK, sigma=1.0, nx=100, nv=100, dt=1e-5)
 PRESETS: dict[str, Scenario] = {
     "transport": Scenario(
-        name="transport",
-        operator=OperatorKind.BGK,
-        eta=1.0,
-        epsilon=100.0,
-        sigma=1.0,
-        nx=100,
-        nv=100,
-        dt=1e-5,
-        t_snapshots=(0.05, 0.1),
-        reference=Reference.TRANSPORT,
+        "transport", eta=1.0, epsilon=100.0, t_snapshots=(0.05, 0.1),
+        reference=Reference.TRANSPORT, **_PAPER_RUN,
     ),
     "intermediate": Scenario(
-        name="intermediate",
-        operator=OperatorKind.BGK,
-        eta=0.1,
-        epsilon=0.1,
-        sigma=1.0,
-        nx=100,
-        nv=100,
-        dt=1e-5,
-        t_snapshots=(0.05, 0.1),
+        "intermediate", eta=0.1, epsilon=0.1, t_snapshots=(0.05, 0.1), **_PAPER_RUN
     ),
     "diffusive": Scenario(
-        name="diffusive",
-        operator=OperatorKind.BGK,
-        eta=1e-4,
-        epsilon=1e-4,
-        sigma=1.0,
-        nx=100,
-        nv=100,
-        dt=1e-5,
-        t_snapshots=(0.05, 0.075, 0.1),
-        reference=Reference.DIFFUSION,
+        "diffusive", eta=1e-4, epsilon=1e-4, t_snapshots=(0.05, 0.075, 0.1),
+        reference=Reference.DIFFUSION, **_PAPER_RUN,
     ),
 }
-
-_CONFIG_FIELDS = {
-    "name": str,
-    "operator": OperatorKind,
-    "eta": float,
-    "epsilon": float,
-    "sigma": float,
-    "nx": int,
-    "nv": int,
-    "dt": None,  # number or the string "auto"
-    "t_snapshots": None,
-    "variant": Variant,
-    "reference": Reference,  # or null for none
-}
-
-
-def _is_number(value) -> bool:  # a JSON number: bool is an int in Python, not here
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _parse_choice(kind: enum.EnumMeta, key: str, value) -> enum.Enum:
-    try:
-        return kind(value)
-    except ValueError:
-        choices = ", ".join(member.value for member in kind)
-        raise ConfigurationError(f"unknown {key} {value!r}; choose one of {choices}") from None
-
 
 def load_scenario(source: str | Path) -> Scenario:
     """Resolve a preset name or a flat JSON config file into a Scenario.
 
     A config may set ``"preset"`` to inherit one of the presets and then
-    override individual fields; unknown keys are rejected by name.
+    override individual fields; unknown keys are rejected by name.  The
+    loader does only what is particular to JSON: ``"dt": "auto"`` is None
+    and an integral number for ``nx`` or ``nv`` is an int.  Scenario checks
+    every value.
     """
     text = str(source)
     if text in PRESETS:
@@ -218,54 +191,27 @@ def load_scenario(source: str | Path) -> Scenario:
             raise ConfigurationError(f"{path}: unknown preset {base_name!r}; choose one of {known}")
         fields = dataclasses.asdict(PRESETS[base_name])
     else:
-        fields = {
-            "name": path.stem,
-            "sigma": 1.0,
-            "dt": None,
-            "t_snapshots": (0.1,),
-        }
+        fields = {"name": path.stem, "sigma": 1.0, "dt": None, "t_snapshots": (0.1,)}
 
-    unknown = sorted(set(raw) - set(_CONFIG_FIELDS))
+    unknown = sorted(set(raw) - {field.name for field in dataclasses.fields(Scenario)})
     if unknown:
         raise ConfigurationError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    if raw.get("dt") == "auto":
+        raw["dt"] = None
+    for key in ("nx", "nv"):  # Scenario rejects what is not an integer
+        if isinstance(raw.get(key), float) and raw[key].is_integer():
+            raw[key] = int(raw[key])
+    fields.update(raw)
 
-    for key, value in raw.items():
-        expected = _CONFIG_FIELDS[key]
-        if key == "reference" and value is None:
-            fields[key] = None
-        elif isinstance(expected, enum.EnumMeta):
-            fields[key] = _parse_choice(expected, key, value)
-        elif key == "dt":
-            if value == "auto":
-                fields[key] = None
-            elif _is_number(value):
-                fields[key] = float(value)
-            else:
-                raise ConfigurationError(f"{path}: dt must be a number or \"auto\", got {value!r}")
-        elif expected is int:  # Scenario rejects what is not an integer
-            fields[key] = int(value) if isinstance(value, float) and value.is_integer() else value
-        elif key == "t_snapshots":
-            if not isinstance(value, list) or not all(_is_number(t) for t in value):
-                raise ConfigurationError(f"{path}: t_snapshots must be a list of numbers")
-            fields[key] = tuple(float(t) for t in value)
-        else:
-            if not (isinstance(value, str) if expected is str else _is_number(value)):
-                raise ConfigurationError(
-                    f"{path}: field {key} expects {expected.__name__}, got {value!r}"
-                )
-            fields[key] = expected(value)
-
-    missing = [
-        k
-        for k in ("operator", "eta", "epsilon", "nx", "nv")
-        if k not in fields or fields[k] is None
-    ]
+    missing = [k for k in ("operator", "eta", "epsilon", "nx", "nv") if fields.get(k) is None]
     if missing:
         raise ConfigurationError(f"{path}: missing required fields: {', '.join(missing)}")
     return Scenario(**fields)
 
 
 def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
+    if not isinstance(kind, OperatorKind):
+        raise ConfigurationError(f"operator expects an OperatorKind, got {kind!r}")
     _require_velocity_count(nv)
     grid = build_grid(nv // 2)
     if kind is OperatorKind.BGK:
@@ -336,7 +282,7 @@ def density_norms(error: np.ndarray) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class SnapshotReport:
-    time: float
+    time: float  # the first requested time its step serves, else its own time
     mass: float
     l1: float | None = None
     l2: float | None = None
@@ -355,7 +301,7 @@ class ErrorReport:
     def lines(self) -> list[str]:
         out = [f"scenario {self.scenario} operator {self.operator}"]
         for row in self.rows:
-            piece = f"  t={row.time:<8g} mass={row.mass:.12e}"
+            piece = f"  t={_time_label(row.time):<8} mass={row.mass:.12e}"
             if row.l1 is not None:
                 piece += f" L1={row.l1:.3e} L2={row.l2:.3e} Linf={row.linf:.3e}"
             out.append(piece)
@@ -364,6 +310,12 @@ class ErrorReport:
             f" {self.seconds_per_step * 1e3:.3f} ms/step"
         )
         return out
+
+
+def _time_label(t: float) -> str:
+    """The shortest repr of t, so distinct times read apart, less a trailing
+    ".0": 0.05, 100000.2, 1."""
+    return repr(t).removesuffix(".0")
 
 
 def write_snapshot_csv(path: Path, x: np.ndarray, rho: np.ndarray, rho_ref=None) -> None:
@@ -424,6 +376,10 @@ def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> Err
     run_ = run_scenario(scenario)
     refs = _reference_curves(run_)
     x = run_.x_centers
+    t0, dt = run_.result.snapshots[0].time, run_.params.dt
+    requested = {}  # step -> the first requested time it serves, by run()'s rule
+    for t in scenario.t_snapshots:
+        requested.setdefault(int(_steps_to(t, t0, dt)), t)
     rows: list[SnapshotReport] = []
     files: list[Path] = []
     directory: Path | None = None
@@ -431,14 +387,15 @@ def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> Err
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
     for idx, snap in enumerate(run_.result.snapshots):
+        time = requested.get(snap.step, snap.time)
         ref = refs.get(idx)
         if ref is not None:
             l1, l2, linf = density_norms(snap.rho - ref)
-            rows.append(SnapshotReport(snap.time, snap.mass, l1, l2, linf))
+            rows.append(SnapshotReport(time, snap.mass, l1, l2, linf))
         else:
-            rows.append(SnapshotReport(snap.time, snap.mass))
+            rows.append(SnapshotReport(time, snap.mass))
         if directory is not None and idx > 0:
-            name = f"{scenario.name}_{scenario.operator.value}_t{snap.time:g}.csv"
+            name = f"{scenario.name}_{scenario.operator.value}_t{_time_label(time)}.csv"
             path = directory / name
             write_snapshot_csv(path, x, snap.rho, ref)
             files.append(path)

@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import time as _time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dgemm
@@ -72,10 +74,28 @@ BLOWUP_CHECK_EVERY = 2
 RHO_GAP_MAX = 1e-12
 
 
-def require_positive_finite(name: str, value: float) -> None:
-    """The rule for every physical and mesh parameter; NaN fails value > 0."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+def require_positive_finite(name: str, value) -> float:
+    """The rule for every physical and mesh parameter: a real number, not a bool
+    or a string, positive and finite (NaN fails value > 0); returned as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} expects float, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not (number > 0 and math.isfinite(number)):
+        raise ConfigurationError(f"{name} must be positive and finite, got {number}")
+    return number
+
+
+def require_choice(kind: type[enum.Enum], name: str, value) -> enum.Enum:
+    """The rule for every choice field: a member of ``kind`` or its value
+    string, returned as the member."""
+    try:
+        return kind(value)  # a member passes through
+    except ValueError:
+        choices = ", ".join(member.value for member in kind)
+        raise ConfigurationError(f"unknown {name} {value!r}; choose one of {choices}") from None
 
 
 class Variant(enum.Enum):
@@ -85,7 +105,8 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Physical and mesh parameters of one run; all strictly positive."""
+    """Physical and mesh parameters of one run; all strictly positive.
+    ``variant`` takes a member or its value string and stores the member."""
 
     eta: float
     epsilon: float
@@ -97,6 +118,7 @@ class SchemeParams:
     def __post_init__(self):
         for name in ("eta", "epsilon", "sigma", "dt", "dx"):
             require_positive_finite(name, getattr(self, name))
+        object.__setattr__(self, "variant", require_choice(Variant, "variant", self.variant))
 
     @property
     def stiffness(self) -> float:
@@ -359,7 +381,7 @@ class Stepper:
             grad /= p.dx
             flux_rho = co.a_coef * edge_j + co.d_coef * self.vv_mean * grad
             rho_new = rho - (p.dt / p.dx) * _backward_difference(flux_rho)
-        else:
+        else:  # Variant.IMPLICIT_DIFFUSION, the only other value SchemeParams admits
             rhs_rho = rho - (p.dt * co.a_coef / p.dx) * _backward_difference(edge_j)
             rho_new = self._solve_macro(rhs_rho)
             grad = _forward_difference(rho_new, cells[2])
@@ -419,6 +441,13 @@ class RunResult:
         return max(drifts, key=abs)
 
 
+def _steps_to(t: float, t0: float, dt: float) -> float:
+    """The step-count rule that places run()'s snapshots; inf and NaN pass
+    through to the caller's bound."""
+    steps = (t - t0) / dt
+    return 0.0 if steps <= 0 else float(np.ceil(steps - 1e-9))
+
+
 def run(
     state: KineticState,
     params: SchemeParams,
@@ -463,10 +492,7 @@ def run(
         )
     t0 = state.t
 
-    def steps_to(t: float) -> float:  # the step-count rule; inf and NaN reach the bound
-        steps = (t - t0) / params.dt
-        return 0.0 if steps <= 0 else float(np.ceil(steps - 1e-9))
-
+    steps_to = partial(_steps_to, t0=t0, dt=params.dt)
     if n_steps is None:
         n_steps = steps_to(t_end)
         if not n_steps <= MAX_EXACT_COUNT:  # also rejects NaN and inf

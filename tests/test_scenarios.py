@@ -54,6 +54,21 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def assert_every_door_rejects(tmp_path, match, **bad):
+    """The bad value gives one ConfigurationError text through Scenario(...),
+    dataclasses.replace of a preset and a JSON config alike."""
+    texts = set()
+    for build in (
+        lambda: Scenario(**{**TINY, "sigma": 1.0, **bad}),
+        lambda: dataclasses.replace(PRESETS["diffusive"], **bad),
+        lambda: load_scenario(write_config(tmp_path, **bad)),
+    ):
+        with pytest.raises(ConfigurationError, match=match) as info:
+            build()
+        texts.add(str(info.value))
+    assert len(texts) == 1, texts
+
+
 # ------------------------------------------------------------------- presets
 
 
@@ -75,7 +90,7 @@ def test_preset_table():
         assert preset.t_snapshots[-1] == 0.1
 
 
-def test_scenario_validation():
+def test_scenario_validation(tmp_path):
     good = dict(
         name="x", operator=OperatorKind.BGK, eta=1.0, epsilon=1.0, sigma=1.0,
         nx=10, nv=4, dt=1e-3, t_snapshots=(0.1,),
@@ -94,16 +109,52 @@ def test_scenario_validation():
         dict(t_snapshots=(0.2, 0.1)),
         dict(t_snapshots=(0.0, 0.1)),
     ):
-        with pytest.raises(ConfigurationError):
-            Scenario(**{**good, **bad})
+        assert_every_door_rejects(tmp_path, None, **bad)
     # the counts are integers: numpy's pass, and a float, a bool or a string does not
     Scenario(**{**good, "nx": np.int64(10), "nv": np.int32(4)})
     for field, value in (("nx", 10.7), ("nx", 10.0), ("nv", 4.0), ("nx", True), ("nv", "4")):
         message = f"^{field} expects int, got {re.escape(repr(value))}$"
         with pytest.raises(ConfigurationError, match=message):
             Scenario(**{**good, field: value})
+        with pytest.raises(ConfigurationError, match=message):
+            dataclasses.replace(PRESETS["diffusive"], **{field: value})
     with pytest.raises(ConfigurationError, match="nx expects int, got 50.5"):
         dataclasses.replace(PRESETS["diffusive"], nx=50.5)
+
+
+def test_scenario_stores_members_floats_and_a_tuple():
+    scenario = Scenario(
+        name="x", operator="fp", eta=1, epsilon=np.float32(0.5), sigma=2, nx=10, nv=4,
+        dt=None, t_snapshots=[0.1, np.float64(0.2)], variant="implicit", reference="limit-fd",
+    )
+    assert scenario.operator is OperatorKind.FOKKER_PLANCK
+    assert scenario.variant is Variant.IMPLICIT_DIFFUSION
+    assert scenario.reference is Reference.LIMIT_FD
+    assert [type(getattr(scenario, f)) for f in ("eta", "epsilon", "sigma")] == [float] * 3
+    assert scenario.t_snapshots == (0.1, 0.2) and type(scenario.t_snapshots[1]) is float
+    hash(scenario)  # a list left in t_snapshots would raise TypeError here
+
+
+def test_value_strings_run_what_they_name():
+    # these spellings once built the scattering operator for "bgk", ran the
+    # implicit variant for "explicit" and compared "transport" against nothing
+    common = dict(name="spell", eta=1.0, epsilon=1.0, sigma=1.0, nx=10, nv=4, dt=1e-3,
+                  t_snapshots=(1e-3, 2e-3))
+    for kind in OperatorKind:
+        for variant in Variant:
+            by_member = Scenario(operator=kind, variant=variant, reference=Reference.TRANSPORT,
+                                 **common)
+            by_string = Scenario(operator=kind.value, variant=variant.value,
+                                 reference="transport", **common)
+            assert by_string == by_member
+            string_run = run_scenario(by_string)
+            assert string_run.operator.kind is kind
+            assert string_run.params.variant is variant
+            a, b = run_scenario(by_member).result.final, string_run.result.final
+            assert a.f.tobytes() == b.f.tobytes() and a.rho.tobytes() == b.rho.tobytes()
+            rows = run_and_report(by_string).rows
+            assert rows == run_and_report(by_member).rows
+            assert rows[-1].l1 is not None
 
 
 def test_resolved_dt():
@@ -126,6 +177,10 @@ def test_build_operator_dispatch():
     assert build_operator(OperatorKind.SCATTERING_PERIODIC, 10).lambda_star < 0
     with pytest.raises(ConfigurationError, match="even"):
         build_operator(OperatorKind.BGK, 7)
+    # not a member, so no fall-through to the last builder
+    for kind in ("bgk", "sc", None):
+        with pytest.raises(ConfigurationError, match="operator expects an OperatorKind"):
+            build_operator(kind, 10)
 
 
 # -------------------------------------------------------------- initial state
@@ -315,31 +370,20 @@ def test_load_scenario_rejects_unknown_preset(tmp_path):
 
 
 def test_load_scenario_rejects_bad_field_values(tmp_path):
-    with pytest.raises(ConfigurationError, match="operator"):
-        load_scenario(write_config(tmp_path, operator="vlasov"))
-    with pytest.raises(ConfigurationError, match="dt"):
-        load_scenario(write_config(tmp_path, dt="fast"))
-    with pytest.raises(ConfigurationError, match="dt"):
-        load_scenario(write_config(tmp_path, dt=True))
-    with pytest.raises(ConfigurationError, match="t_snapshots"):
-        load_scenario(write_config(tmp_path, t_snapshots="soon"))
-    with pytest.raises(ConfigurationError, match="transport, diffusion, limit-fd"):
-        load_scenario(write_config(tmp_path, reference="heat"))
-    with pytest.raises(ConfigurationError, match="variant"):
-        load_scenario(write_config(tmp_path, variant="semi"))
-    # typed fields take JSON numbers as they are: no truncation, no bool, no string
-    with pytest.raises(ConfigurationError, match="nx expects int, got 10.7"):
-        load_scenario(write_config(tmp_path, nx=10.7))
-    with pytest.raises(ConfigurationError, match="nx expects int, got True"):
-        load_scenario(write_config(tmp_path, nx=True))
-    with pytest.raises(ConfigurationError, match="nv expects int, got '4'"):
-        load_scenario(write_config(tmp_path, nv="4"))
-    with pytest.raises(ConfigurationError, match="eta expects float, got '1'"):
-        load_scenario(write_config(tmp_path, eta="1"))
-    with pytest.raises(ConfigurationError, match="sigma expects float, got False"):
-        load_scenario(write_config(tmp_path, sigma=False))
-    with pytest.raises(ConfigurationError, match="name expects str, got 3"):
-        load_scenario(write_config(tmp_path, name=3))
+    assert_every_door_rejects(tmp_path, "operator", operator="vlasov")
+    assert_every_door_rejects(tmp_path, "dt", dt="fast")
+    assert_every_door_rejects(tmp_path, "dt", dt=True)
+    assert_every_door_rejects(tmp_path, "t_snapshots", t_snapshots="soon")
+    assert_every_door_rejects(tmp_path, "transport, diffusion, limit-fd", reference="heat")
+    assert_every_door_rejects(tmp_path, "variant", variant="semi")
+    # typed fields take numbers as they are: no truncation, no bool, no string
+    assert_every_door_rejects(tmp_path, "nx expects int, got 10.7", nx=10.7)
+    assert_every_door_rejects(tmp_path, "nx expects int, got True", nx=True)
+    assert_every_door_rejects(tmp_path, "nv expects int, got '4'", nv="4")
+    assert_every_door_rejects(tmp_path, "eta expects float, got '1'", eta="1")
+    assert_every_door_rejects(tmp_path, "sigma expects float, got False", sigma=False)
+    assert_every_door_rejects(tmp_path, "name expects str, got 3", name=3)
+    assert_every_door_rejects(tmp_path, "snapshot time expects float", t_snapshots=[0.1, "0.2"])
 
 
 def test_load_scenario_takes_integral_numbers_for_counts(tmp_path):
@@ -351,11 +395,9 @@ def test_load_scenario_takes_integral_numbers_for_counts(tmp_path):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["eta", "epsilon", "sigma", "dt", "t_snapshots"])
-def test_scenario_rejects_non_finite_numbers(field, value):
-    numbers = dict(eta=1.0, epsilon=1.0, sigma=1.0, dt=1e-3, t_snapshots=(0.1,))
-    numbers[field] = (0.05, value) if field == "t_snapshots" else value
-    with pytest.raises(ConfigurationError, match="must be positive and finite"):
-        Scenario(name="x", operator=OperatorKind.BGK, nx=10, nv=4, **numbers)
+def test_scenario_rejects_non_finite_numbers(tmp_path, field, value):
+    bad = {field: (0.05, value) if field == "t_snapshots" else value}
+    assert_every_door_rejects(tmp_path, "must be positive and finite", **bad)
 
 
 def test_load_scenario_missing_required_fields(tmp_path):
@@ -519,11 +561,48 @@ def test_cli_run_writes_every_snapshot_of_a_long_run(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["late_bgk_t212.8.csv", "late_bgk_t213.5.csv"]
 
 
-def test_cli_run_operator_override(tmp_path, capsys):
+def test_cli_run_names_each_snapshot_by_its_requested_time(tmp_path, capsys):
+    # two times alike to six digits, served by steps 1 and 2.  Named by the
+    # reached time's {:g}, dt = 0.2 and times 100000.2, 100000.4 printed two
+    # "t=100000" rows and wrote one CSV, in 500,002 steps; this takes two
+    config = tmp_path / "found.json"
+    config.write_text(json.dumps({
+        "operator": "bgk", "eta": 1e6, "epsilon": 1.0, "nx": 3, "nv": 2, "dt": 100000.25,
+        "t_snapshots": [100000.1, 100000.4],
+    }))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^  t=(\S+)", out, flags=re.M) == ["0", "100000.1", "100000.4"]
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == ["found_bgk_t100000.1.csv", "found_bgk_t100000.4.csv"]
+
+
+def test_preset_snapshot_names_are_unchanged(tmp_path):
+    scenario = dataclasses.replace(PRESETS["diffusive"], nx=3, nv=2)
+    report = run_and_report(scenario, out_dir=tmp_path)
+    assert [row.time for row in report.rows] == [0.0, 0.05, 0.075, 0.1]
+    assert [path.name for path in report.files] == [
+        "diffusive_bgk_t0.05.csv", "diffusive_bgk_t0.075.csv", "diffusive_bgk_t0.1.csv"
+    ]
+    assert [line.split()[0] for line in report.lines()[1:-1]] == [
+        "t=0", "t=0.05", "t=0.075", "t=0.1"
+    ]
+
+
+def test_cli_run_operator_override(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path)
     code = main(["run", "--config", str(config), "--operator", "fp"])
     assert code == 0
     assert "operator fp" in capsys.readouterr().out
+    # argparse's strings reach the run as the members they name
+    import ugks1d.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_and_report", lambda s, out_dir: seen.append(s) or run_and_report(s))
+    assert main(["run", "--config", str(config), "--operator", "sc", "--variant", "implicit"]) == 0
+    assert seen[0].operator is OperatorKind.SCATTERING_PERIODIC
+    assert seen[0].variant is Variant.IMPLICIT_DIFFUSION
 
 
 def test_cli_validate_operator(capsys):
@@ -725,3 +804,13 @@ def test_every_readme_command_line_parses():
     assert len(commands) == 6
     for argv in commands:
         build_parser().parse_args(argv)  # a removed or misspelt flag exits 2
+
+
+def test_every_readme_json_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    for number, block in enumerate(blocks):
+        path = tmp_path / f"readme_{number}.json"
+        path.write_text(block)
+        assert isinstance(load_scenario(path), Scenario)  # a bad key or value raises

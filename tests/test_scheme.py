@@ -63,6 +63,14 @@ def test_params_reject_nonpositive_values():
             SchemeParams(**kwargs)
 
 
+def test_params_take_a_variant_member_or_its_string():
+    assert make_params(variant="implicit").variant is Variant.IMPLICIT_DIFFUSION
+    assert make_params(variant=Variant.IMPLICIT_DIFFUSION).variant is Variant.IMPLICIT_DIFFUSION
+    for bad in ("semi", None, 1):
+        with pytest.raises(ConfigurationError, match="unknown variant"):
+            make_params(variant=bad)
+
+
 def test_stiffness_property():
     p = make_params(eta=1e-4, epsilon=1e-4, sigma=1.0, dt=1e-5)
     np.testing.assert_allclose(p.stiffness, 1e3, rtol=1e-12)
