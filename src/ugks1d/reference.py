@@ -12,9 +12,11 @@ samples it.  The references are
 
 ``transport_density`` and ``exact_diffusion_density`` run in every
 ``run_and_report`` and ``ap_sweep`` call whose scenario names that
-reference, once per snapshot, so both are vectorised over the mesh.  The
-heat kernel's ``erf`` is the C library's, through ``math.erf``, on only the
-arguments with |z| < 6; beyond, erf(z) rounds to exactly +-1.  The dense
+reference, once per snapshot, so both are vectorised over the mesh;
+``transport_density`` goes through the mesh in blocks of cells, so it
+holds no array of the mesh times the grid.  The heat kernel's ``erf`` is
+the C library's, through ``math.erf``, on only the arguments with
+|z| < 6; beyond, erf(z) rounds to exactly +-1.  The dense
 oracles the tests hold the scheme against are in ``tests/oracles.py``.
 """
 
@@ -51,13 +53,24 @@ def space_profile(y: np.ndarray) -> np.ndarray:
     return np.exp(np.negative(np.square(y, out=y), out=y), out=y)
 
 
+# floats of the back-traced x factor that transport_density holds at once
+# (256 KiB), in place of one array of the mesh times the grid
+_TRANSPORT_BLOCK = 2**15
+
+
 def transport_density(t: float, x, grid: VelocityGrid, eta: float = 1.0) -> np.ndarray:
     """Velocity mean of the exact transport solution f0(x - v t/eta, v): the
-    back-traced x factor @ the velocity factor / 2N."""
+    back-traced x factor @ the velocity factor / 2N, over blocks of x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = grid.velocities
-    y = space_profile(np.subtract.outer(x - 0.5, v * t / eta))
-    return y @ (velocity_profile(v) / grid.size)
+    shift = v * t / eta
+    weights = velocity_profile(v) / grid.size
+    out = np.empty(x.shape[0])
+    rows = max(1, _TRANSPORT_BLOCK // v.size)
+    for start in range(0, x.shape[0], rows):
+        block = space_profile(np.subtract.outer(x[start : start + rows] - 0.5, shift))
+        np.matmul(block, weights, out=out[start : start + rows])
+    return out
 
 
 # erf(z) rounds to exactly +-1 from |z| = 5.93 (erfc(5.93) < 2**-54)

@@ -258,9 +258,9 @@ class ScenarioRun:
 def run_scenario(scenario: Scenario) -> ScenarioRun:
     op = build_operator(scenario.operator, scenario.nv)
     params = scheme_params(scenario)
-    state = initialize_state(scenario, op.grid)
+    # the entry state goes straight to run(), which drops it after the first step
     result = run(
-        state,
+        initialize_state(scenario, op.grid),
         params,
         op,
         op.grid,
@@ -424,7 +424,9 @@ _LAMBDA_TARGETS = {
 
 
 def lambda_star_report(kind: OperatorKind, nv_list) -> list[LambdaStarRow]:
-    """lambda_star per velocity resolution with the continuum target."""
+    """lambda_star per velocity resolution with the continuum target; ``kind``
+    takes a member or its value string."""
+    kind = require_choice(OperatorKind, "operator", kind)
     target = _LAMBDA_TARGETS[kind]
     rows = []
     for nv in nv_list:

@@ -20,7 +20,9 @@ phi itself, only its difference across a cell,
                         + (jump of the edge density) C V
                         + (jump of the density gradient) D lambda_star U V,
 
-an upwind difference of F plus one rank-two product.  Collisions are
+an upwind difference of F plus one rank-two product.  The density flux,
+the velocity mean of phi, is A J + D <V,V>/(2N) grad rho for the edge
+current J, so the two updates share the gradient jump.  Collisions are
 implicit: each cell solves (I - c D_op) F = rhs with c = sigma dt/(eps eta).
 For BGK that solve is F = k rhs + (rho^{n+1} - k mean rhs), k = 1/(1 + c),
 so ``Stepper`` folds k into the rows that assemble rhs and the collision
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dgemm
+from scipy.linalg.blas import daxpy, dger, dgemm
 
 from .errors import ConfigurationError, SolverError
 # conjugate_gradient has no caller here; bench/spans.py wraps it by this name
@@ -237,9 +239,9 @@ def _forward_difference(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _backward_difference(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a_i - a_{i-1} along the last axis, on the periodic mesh, into ``out`` or a new array."""
-    out = np.empty_like(a) if out is None else out
+def _backward_difference(a: np.ndarray) -> np.ndarray:
+    """a_i - a_{i-1} along the last axis, on the periodic mesh, as a new array."""
+    out = np.empty_like(a)
     np.subtract(a[..., 1:], a[..., :-1], out=out[..., 1:])
     np.subtract(a[..., 0], a[..., -1], out=out[..., 0])
     return out
@@ -253,24 +255,29 @@ class Stepper:
     and the dense inverse of the collision system (none for BGK), whose
     builder is chosen by the nonzero pattern of I - cD; a dense D that is
     not negative semidefinite fails here, with operator-invalid.  The
-    eigenvalues of the implicit-diffusion macro system depend on the cell
-    count, so they are computed on the first step with each cell count and
-    kept.  The variant is ``params.variant``.
+    upwind scale array and the eigenvalues of the implicit-diffusion macro
+    system depend on the cell count, so they are computed on the first step
+    with each cell count and kept.  The variant is ``params.variant``.
 
     The step works on the C-contiguous (2N, nx) block f.T, copying a
     C-ordered entry f to that order first.  The half moments are one BLAS
     product of four weight rows with that block, and every periodic shift
-    of a cell vector is a slice difference.  The kinetic right-hand side
-    rhs = F - (dt/dx)(phi_i - phi_{i-1}) is built term by term, times k,
-    in the one array that becomes the new F, where k = 1/(1 + c) for BGK
-    and 1 otherwise.  With the negative velocities first, the upwind
-    difference is F_i - F_{i-1} on the positive half and F_{i+1} - F_i on
-    the negative half; each half is one contiguous block, so each is one
-    flat subtraction plus one wrap column, times -k (dt/dx) A V.  One BLAS
-    daxpy adds k F.  Then one BLAS product adds three rows,
-    -k (dt/dx) C V, -k (dt/dx) D lambda_star U V and ones, times the jumps
-    of the edge density and of the density gradient and a cell vector
-    beta.
+    of a cell vector is a slice difference.  The jumps of the edge
+    density, the density gradient and the edge current are one backward
+    difference of a (3, nx) block; the explicit density update is the last
+    two against two weights, one BLAS product.  The kinetic right-hand
+    side rhs = F - (dt/dx)(phi_i - phi_{i-1}) is built term by term, times
+    k, in the one array that becomes the new F, where k = 1/(1 + c) for BGK
+    and 1 otherwise.  With the negative
+    velocities first, the upwind difference is F_i - F_{i-1} on the
+    positive half and F_{i+1} - F_i on the negative half; each half is one
+    contiguous block, so each is one flat subtraction plus one wrap column,
+    times -k (dt/dx) A V stored as a (2N, nx) array: numpy multiplies two
+    arrays of one shape faster than it broadcasts a column.  One BLAS daxpy
+    adds k F.  Then one BLAS product adds three rows, -k (dt/dx) C V,
+    -k (dt/dx) D lambda_star U V and ones, times the edge-density and
+    gradient jumps, read in place, and a cell vector beta written over the
+    current jump.
 
     For BGK, D = P0 - I, so the collision solve is F = k rhs + (rho^{n+1}
     - k mean rhs).  The two rank-two rows are given velocity mean zero,
@@ -283,13 +290,15 @@ class Stepper:
     (the assembled matrix entries scale like c/dv^2) cannot leak into the
     conserved mean; F' is re-centred on rho^{n+1} afterwards, which the
     exact solution satisfies.  The inverse multiplies the whole (2N, nx)
-    block at once, and the re-centre's velocity mean is one BLAS product.
+    block at once; the re-centre's velocity mean is one BLAS product and
+    the re-centre itself one BLAS rank-one update, in place.
 
     The implicit-diffusion macro system (I + mu Lap) rho^{n+1} =
     rho^n - (dt A/dx) diff(J), with mu = dt <V,V>/(2N) D_coef / dx^2 < 0,
     is circulant with eigenvalues 1 - 4 mu sin^2(pi k/nx) >= 1, so the
-    division in Fourier space is always safe; the kinetic fluxes then use
-    the new-time gradient.
+    division in Fourier space is always safe.  Its right-hand side takes
+    its own jump of the current; the three jumps are formed after the
+    solve, so the kinetic fluxes use the new-time gradient.
     """
 
     def __init__(self, op: CollisionOperator, params: SchemeParams):
@@ -301,15 +310,16 @@ class Stepper:
         half = grid.half_count
         v = grid.velocities
         self._half = half
-        # rows J+, rho+, J-, rho-: the current and the density of the positive
+        # rows rho+, J+, rho-, J-: the density and the current of the positive
         # half, then of the negative half, as velocity means
         rows = np.zeros((4, n))
-        rows[0, half:] = v[half:] / n
-        rows[1, half:] = 1.0 / n
-        rows[2, :half] = v[:half] / n
-        rows[3, :half] = 1.0 / n
+        rows[0, half:] = 1.0 / n
+        rows[1, half:] = v[half:] / n
+        rows[2, :half] = 1.0 / n
+        rows[3, :half] = v[:half] / n
         self.moment_rows = rows
         self.mean_row = np.full(n, 1.0 / n)
+        self._ones = np.ones(n)
         self.c = params.stiffness
         bgk = op.kind is OperatorKind.BGK
         self.k = 1.0 / (1.0 + self.c) if bgk else 1.0
@@ -319,7 +329,7 @@ class Stepper:
         # a copy.  For BGK the rank-two rows must have velocity mean zero; c V
         # has it on the symmetric grid, and d lambda* U V is centred.
         scale = -self.k * params.dt / params.dx
-        self.upwind_column = (scale * self.coeffs.a_coef * v)[:, None]
+        self._upwind_column = (scale * self.coeffs.a_coef * v)[:, None]
         rows = np.empty((3, n), order="F")
         np.multiply(scale * self.coeffs.c_coef, v, out=rows[0])
         np.multiply(scale * self.coeffs.d_coef * op.lambda_star * op.u_vector, v, out=rows[1])
@@ -328,7 +338,14 @@ class Stepper:
         rows[2] = 1.0
         self.rows = rows
         self.vv_mean = float(v @ v) / n
+        # the explicit density update's weights of the gradient and current jumps
+        self._macro_row = (params.dt / params.dx) * np.array(
+            [self.coeffs.d_coef * self.vv_mean, self.coeffs.a_coef]
+        )
         self.macro_mu = params.dt * self.vv_mean * self.coeffs.d_coef / params.dx**2
+        # per cell count: the upwind scale as a (2N, nx) array, and the
+        # macro eigenvalues
+        self._upwind_scales: dict[int, np.ndarray] = {}
         self._macro_eigenvalues: dict[int, np.ndarray] = {}
         self._collision_factor = None
         if not bgk:
@@ -342,11 +359,14 @@ class Stepper:
         fluctuation g = rhs - rho_new 1, and return F re-centred on rho_new.
 
         Velocity-major: ``g`` is a C-contiguous (2N, nx) block, one column
-        per cell, and F, a new array, has the same shape.
+        per cell, and F, a new array, has the same shape.  The re-centre
+        adds beta = rho_new - (the velocity mean of the solution) to every
+        velocity of a cell: one BLAS rank-one update of the solution's
+        transpose, beta times a row of ones, in place.
         """
         g = self._collision_factor.solve(g)
-        g += rho_new - self.mean_row @ g
-        return g
+        beta = rho_new - self.mean_row @ g
+        return dger(1.0, beta, self._ones, a=g.T, overwrite_a=True).T
 
     def _solve_macro(self, rhs_rho: np.ndarray) -> np.ndarray:
         """Solve the circulant system (1 - 2 mu, mu, mu) rho = rhs by FFT."""
@@ -358,34 +378,37 @@ class Stepper:
             self._macro_eigenvalues[nx] = eigenvalues
         return np.fft.irfft(np.fft.rfft(rhs_rho) / eigenvalues, n=nx)
 
+    def _upwind_scale(self, nx: int) -> np.ndarray:
+        """-k (dt/dx) A V as a (2N, nx) array, built once per cell count."""
+        scale = self._upwind_scales.get(nx)
+        if scale is None:
+            scale = np.repeat(self._upwind_column, nx, axis=1)
+            self._upwind_scales[nx] = scale
+        return scale
+
     def step(self, state: KineticState) -> KineticState:
         """Advance one time step of the parameters' variant; the new f is
         Fortran-ordered."""
         p = self.params
-        co = self.coeffs
         f = np.ascontiguousarray(state.f.T, dtype=float)
         rho = state.rho
         h = self._half
         nx = f.shape[1]
         moments = self.moment_rows @ f
-        # rows: edge current, edge density (both at interface i+1/2: the
-        # positive half of cell i plus the negative half of cell i+1), and
-        # the density gradient, which the jumps take together with row 1
+        # rows: edge density, density gradient, edge current; the edge values
+        # are at interface i+1/2, the positive half of cell i plus the
+        # negative half of cell i+1
         cells = np.empty((3, nx))
-        np.add(moments[:2, :-1], moments[2:, 1:], out=cells[:2, :-1])
-        np.add(moments[:2, -1], moments[2:, 0], out=cells[:2, -1])
-        edge_j = cells[0]
+        np.add(moments[:2, :-1], moments[2:, 1:], out=cells[::2, :-1])
+        np.add(moments[:2, -1], moments[2:, 0], out=cells[::2, -1])
 
         if p.variant is Variant.EXPLICIT_DIFFUSION:
-            grad = _forward_difference(rho, cells[2])
-            grad /= p.dx
-            flux_rho = co.a_coef * edge_j + co.d_coef * self.vv_mean * grad
-            rho_new = rho - (p.dt / p.dx) * _backward_difference(flux_rho)
+            jumps = self._jumps(cells, rho)
+            rho_new = rho - self._macro_row @ jumps[1:]
         else:  # Variant.IMPLICIT_DIFFUSION, the only other value SchemeParams admits
-            rhs_rho = rho - (p.dt * co.a_coef / p.dx) * _backward_difference(edge_j)
+            rhs_rho = rho - (p.dt * self.coeffs.a_coef / p.dx) * _backward_difference(cells[2])
             rho_new = self._solve_macro(rhs_rho)
-            grad = _forward_difference(rho_new, cells[2])
-            grad /= p.dx
+            jumps = self._jumps(cells, rho_new)
 
         # k (f - dt/dx (phi_i - phi_{i-1})), differenced term by term; the
         # rows carry the -k dt/dx.  The upwind term is a V (f_{i+1} - f_i)
@@ -399,18 +422,24 @@ class Stepper:
         np.subtract(f[:h, 0], f[:h, -1], out=f_new[:h, -1])
         np.subtract(flat[cut + 1 :], flat[cut:-1], out=flat_new[cut + 1 :])
         np.subtract(f[h:, 0], f[h:, -1], out=f_new[h:, 0])
-        f_new *= self.upwind_column
+        f_new *= self._upwind_scale(nx)
         daxpy(flat, flat_new, a=self.k)  # in place: flat_new is contiguous
-        # the jumps of the edge density and the gradient, and beta, against
-        # the rows, one (2N, 3) @ (3, nx) product that BLAS adds in place;
-        # BGK's beta ends its collision, the others' leaves the fluctuation
-        terms = np.empty((3, nx))
-        _backward_difference(cells[1:], out=terms[:2])
+        # the jumps of the edge density and the gradient, and beta in place
+        # of the current jump, against the rows: one (2N, 3) @ (3, nx)
+        # product that BLAS adds in place; BGK's beta ends its collision,
+        # the others' leaves the fluctuation
         bgk = self._collision_factor is None
-        terms[2] = rho_new - self.mean_row @ f_new if bgk else -rho_new
-        f_new = dgemm(1.0, terms.T, self.rows, beta=1.0, c=f_new.T, overwrite_c=True).T
+        jumps[2] = rho_new - self.mean_row @ f_new if bgk else -rho_new
+        f_new = dgemm(1.0, jumps.T, self.rows, beta=1.0, c=f_new.T, overwrite_c=True).T
         f_new = f_new if bgk else self._collide(f_new, rho_new)
         return KineticState(f_new.T, rho_new, state.t + p.dt)
+
+    def _jumps(self, cells: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Fill the gradient row of ``cells`` from ``rho`` and return the
+        jumps of all three rows across each cell, a new (3, nx) array."""
+        grad = _forward_difference(rho, cells[1])
+        grad /= self.params.dx
+        return _backward_difference(cells)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ Each is allowed dense O((2N)^3) linear algebra and shares no code path with
   with its own copy of the initial datum f0,
 * the grouped eigendecomposition of the collision operator D,
 * the dense interface-value oracle M(t)^{-1} S(t) built from eigenprojectors,
-* the per-interface kinetic and density fluxes the vectorised stepper must match.
+* the per-interface kinetic and density fluxes the vectorised stepper must match,
+  and one whole step built from them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ugks1d.errors import ConfigurationError
-from ugks1d.scheme import FluxCoefficients, SchemeParams
+from ugks1d.scheme import (
+    FluxCoefficients,
+    KineticState,
+    SchemeParams,
+    Variant,
+    flux_coefficients,
+)
 from ugks1d.velocity_space import CollisionOperator, VelocityGrid
 
 # below this exponent the oracles take e^w as exactly 0 (e^-700 is 1e-304)
@@ -264,17 +271,22 @@ def micro_flux(
     op: CollisionOperator,
     grid: VelocityGrid,
     dx: float,
+    grad: float | None = None,
 ) -> np.ndarray:
     """Kinetic flux through the interface between two cells.
 
     phi_j = A v_j upwind_j + C v_j (rho_plus_left + rho_minus_right)
-          + D (rho_right - rho_left)/dx * lambda_star U_j v_j
+          + D grad lambda_star U_j v_j,
+
+    where the density gradient ``grad`` defaults to (rho_right - rho_left)/dx
+    from the two cells' velocity means.
     """
     v = grid.velocities
     left = half_moments(f_left, grid)
     right = half_moments(f_right, grid)
     upwind = np.where(v > 0, f_left, f_right)
-    grad = ((right.rho_minus + right.rho_plus) - (left.rho_minus + left.rho_plus)) / dx
+    if grad is None:
+        grad = ((right.rho_minus + right.rho_plus) - (left.rho_minus + left.rho_plus)) / dx
     return (
         coeffs.a_coef * v * upwind
         + coeffs.c_coef * v * (left.rho_plus + right.rho_minus)
@@ -297,3 +309,46 @@ def macro_flux(
     grad = ((right.rho_minus + right.rho_plus) - (left.rho_minus + left.rho_plus)) / dx
     vv_mean = float(v @ v) / grid.size
     return coeffs.a_coef * (left.j_plus + right.j_minus) + coeffs.d_coef * vv_mean * grad
+
+
+def per_interface_step(
+    op: CollisionOperator, params: SchemeParams, state: KineticState
+) -> KineticState:
+    """One step from the per-interface flux formulas looped over interfaces,
+    followed by a dense solve of I - cD in every cell.
+
+    The explicit-diffusion variant updates rho by the density fluxes.  The
+    implicit-diffusion variant solves its periodic macro system
+    (I + mu Lap) rho^{n+1} = rho^n - (dt A/dx) diff(J), mu = dt <V,V>/(2N)
+    D/dx^2, as one dense system, and puts the new-time density gradient in
+    the kinetic fluxes.
+    """
+    nx = state.f.shape[0]
+    grid = op.grid
+    co = flux_coefficients(params, op.lambda_star)
+    f = state.f
+    right = np.roll(f, -1, axis=0)
+    ratio = params.dt / params.dx
+    if params.variant is Variant.EXPLICIT_DIFFUSION:
+        flux_rho = np.array(
+            [macro_flux(f[i], right[i], co, op, grid, params.dx) for i in range(nx)]
+        )
+        rho_new = state.rho - ratio * (flux_rho - np.roll(flux_rho, 1))
+        grads = [None] * nx
+    else:
+        edge_j = np.array(
+            [half_moments(f[i], grid).j_plus + half_moments(right[i], grid).j_minus for i in range(nx)]
+        )
+        v = grid.velocities
+        mu = params.dt * float(v @ v) / grid.size * co.d_coef / params.dx**2
+        eye = np.eye(nx)
+        laplacian = np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye
+        rhs_rho = state.rho - ratio * co.a_coef * (edge_j - np.roll(edge_j, 1))
+        rho_new = np.linalg.solve(eye + mu * laplacian, rhs_rho)
+        grads = (np.roll(rho_new, -1) - rho_new) / params.dx
+    phi = np.array(
+        [micro_flux(f[i], right[i], co, op, grid, params.dx, grads[i]) for i in range(nx)]
+    )
+    rhs = f - ratio * (phi - np.roll(phi, 1, axis=0))
+    system = np.eye(op.size) - params.stiffness * op.matrix
+    return KineticState(np.linalg.solve(system, rhs.T).T, rho_new, state.t + params.dt)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -139,6 +140,24 @@ def test_transport_density_at_exact_wrap_ties():
     shift = np.subtract.outer(x - 0.5, grid.velocities * t / eta)
     assert np.any(np.mod(shift, 1.0) == 0.5)
     assert_transport_density_is_the_mean(t, x, grid, eta)
+
+
+def test_transport_density_holds_no_mesh_by_grid_temporary():
+    # at 1000 x 200 the back-traced x factor is evaluated in blocks: no two
+    # arrays of the mesh times the grid exist at once, and the blocks agree
+    # with the whole-mesh mean
+    grid, t = build_grid(100), 0.02
+    x = (np.arange(1000) + 0.5) / 1000
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        density = transport_density(t, x, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= x.size * grid.size * 8 + 2**19
+    values = exact_transport(t, x[:, None], grid.velocities[None, :])
+    np.testing.assert_allclose(density, values.mean(axis=1), rtol=1e-14)
 
 
 # ----------------------------------------------------------------- diffusion

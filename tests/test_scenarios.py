@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,24 @@ def test_run_scenario_tiny():
     assert params.dt == 1e-3 and params.dx == 0.1
 
 
+def test_run_scenario_holds_no_state_beyond_the_steps_own():
+    # at 1000 x 200 a step holds its entry state, its output and the stored
+    # upwind scale; the entry state of the run is not kept past its first step
+    scenario = dataclasses.replace(
+        PRESETS["transport"], nx=1000, nv=200, t_snapshots=(5e-5,), reference=None
+    )
+    state_bytes = scenario.nx * scenario.nv * 8
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        run_ = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run_.result.steps == 5
+    assert peak - entry <= 3 * state_bytes + 2**19
+
+
 def test_run_and_report_writes_expected_files(tmp_path):
     scenario = Scenario(
         name="demo", operator=OperatorKind.FOKKER_PLANCK, eta=1.0, epsilon=1.0,
@@ -472,6 +491,12 @@ def test_lambda_star_report_rows():
         np.testing.assert_allclose(row.lambda_star, -2.0, atol=1e-10)
     rows = lambda_star_report(OperatorKind.SCATTERING_PERIODIC, [10])
     assert rows[0].target == -1.5
+
+
+def test_lambda_star_report_takes_the_value_string():
+    assert lambda_star_report("fp", [4]) == lambda_star_report(OperatorKind.FOKKER_PLANCK, [4])
+    with pytest.raises(ConfigurationError, match="unknown operator 'xx'"):
+        lambda_star_report("xx", [4])
 
 
 def _diffusive_linf(eta, reference):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import half_moments, macro_flux, micro_flux, underflow_exp
+from oracles import half_moments, macro_flux, micro_flux, per_interface_step, underflow_exp
 from ugks1d import scheme
 from ugks1d.errors import ConfigurationError
 from ugks1d.errors import SolverError
@@ -270,24 +270,6 @@ def test_collision_solve_matches_dense_reference(name):
     solved = solve_collision(ws, rhs, rho_new)
     np.testing.assert_allclose(solved, expected, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(solved.mean(axis=1), rho_new, atol=1e-14)
-
-
-def per_interface_step(op, params, state):
-    """One step from the per-interface flux formulas looped over interfaces,
-    followed by a dense solve of I - cD in every cell."""
-    nx = state.f.shape[0]
-    co = flux_coefficients(params, op.lambda_star)
-    f = state.f
-    right = np.roll(f, -1, axis=0)
-    phi = np.array([micro_flux(f[i], right[i], co, op, op.grid, params.dx) for i in range(nx)])
-    flux_rho = np.array(
-        [macro_flux(f[i], right[i], co, op, op.grid, params.dx) for i in range(nx)]
-    )
-    ratio = params.dt / params.dx
-    rho_new = state.rho - ratio * (flux_rho - np.roll(flux_rho, 1))
-    rhs = f - ratio * (phi - np.roll(phi, 1, axis=0))
-    system = np.eye(op.size) - params.stiffness * op.matrix
-    return KineticState(np.linalg.solve(system, rhs.T).T, rho_new, state.t + params.dt)
 
 
 def test_bgk_step_matches_per_interface_fluxes_and_a_dense_solve():
@@ -689,6 +671,47 @@ def test_step_matches_per_interface_oracle(name):
     advanced = Stepper(op, params).step(state)
     np.testing.assert_allclose(advanced.rho, expected.rho, rtol=0, atol=1e-12)
     np.testing.assert_allclose(advanced.f, expected.f, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases(), st.floats(-3.0, 3.0))
+def test_step_matches_per_interface_oracle_anywhere(case, log_sigma):
+    # the whole step against the per-interface formulas at random eta, eps,
+    # sigma, dt, mesh, grid, operator and variant.  The tolerance is the one
+    # above, relative to the output once it exceeds 1 and times the condition
+    # numbers of the collision system I - cD and of the implicit macro system
+    # (eigenvalues 1 to 1 + 4|mu|): two sound solves of a system differ by
+    # up to that much, and on the stiffest draws they differ by about 1e-7
+    stepper, nx, seed = case
+    op = stepper.op
+    params = dataclasses.replace(stepper.params, sigma=10.0**log_sigma)
+    state = normal_state(np.random.default_rng(seed), nx, op.size)
+    expected = per_interface_step(op, params, state)
+    stepped = Stepper(op, params)
+    advanced = stepped.step(state)
+    condition = 1.0 + params.stiffness * np.linalg.norm(op.matrix, 2)
+    if params.variant is Variant.IMPLICIT_DIFFUSION:
+        condition *= 1.0 + 4.0 * abs(stepped.macro_mu)
+    tol = 1e-12 * max(1.0, np.abs(expected.f).max()) * condition
+    np.testing.assert_allclose(advanced.rho, expected.rho, rtol=0, atol=tol)
+    np.testing.assert_allclose(advanced.f, expected.f, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_stepper_caches_hold_for_every_cell_count(name, variant):
+    # one Stepper keeps the upwind scale and the macro eigenvalues per cell
+    # count; stepping 50, then 80, then 50 cells again must give bitwise
+    # what fresh Steppers give
+    op = BUILDERS[name](build_grid(5))
+    params = make_params(variant=variant, dx=1.0 / 50)
+    shared = Stepper(op, params)
+    rng = np.random.default_rng(43)
+    for nx in (50, 80, 50):
+        state = normal_state(rng, nx, op.size)
+        advanced, fresh = shared.step(state), Stepper(op, params).step(state)
+        assert np.array_equal(advanced.f, fresh.f)
+        assert np.array_equal(advanced.rho, fresh.rho)
 
 
 def test_near_transport_step_matches_upwind():
