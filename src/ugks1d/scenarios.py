@@ -10,6 +10,10 @@ regimes on the unit torus with N_x = N_v = 100, sigma = 1 and dt = 1e-5:
 * ``transport``    eta = 1,    eps = 100   (collisions negligible)
 * ``intermediate`` eta = 0.1,  eps = 0.1
 * ``diffusive``    eta = 1e-4, eps = 1e-4  (near the heat-equation limit)
+
+Scenario is the one place where times become steps: ``run_scenario``
+hands them to ``scheme.run``, and ``run_and_report`` labels each
+snapshot by the first time it serves.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +44,9 @@ from .scheme import (
     RunResult,
     SchemeParams,
     Variant,
-    _steps_to,
     default_time_step,
     require_choice,
+    require_count,
     require_positive_finite,
     run,
 )
@@ -65,9 +69,11 @@ class Reference(enum.Enum):
     LIMIT_FD = "limit-fd"  # explicit finite-difference limit scheme, step by step
 
 
-def _require_velocity_count(nv: int) -> None:
-    if nv < 2 or nv % 2 or nv > MAX_EXACT_COUNT:
+def _require_velocity_count(nv) -> int:
+    nv = require_count("nv", nv, 2)
+    if nv % 2:
         raise ConfigurationError(f"nv must be even and in [2, 2**53], got {nv}")
+    return nv
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,8 @@ class Scenario:
     value string and store the member; ``eta``, ``epsilon``, ``sigma`` and
     ``dt`` (or None) are real numbers, not bools or strings, positive and
     finite; ``nx`` and ``nv`` are integers; ``t_snapshots`` is any sequence of
-    increasing positive times, stored as a tuple; ``name`` is a str.
+    increasing positive times, stored as a tuple, the last at most 2**53
+    steps; ``name`` is a str.  ``snapshot_steps`` turns the times into steps.
     """
 
     name: str
@@ -103,15 +110,8 @@ class Scenario:
             store("reference", require_choice(Reference, "reference", self.reference))
         for field in ("eta", "epsilon", "sigma") + (("dt",) if self.dt is not None else ()):
             store(field, require_positive_finite(field, getattr(self, field)))
-        for field in ("nx", "nv"):
-            value = getattr(self, field)
-            try:  # index takes numpy integers and rejects floats, 10.0 included
-                index(None if isinstance(value, bool) else value)
-            except TypeError:
-                raise ConfigurationError(f"{field} expects int, got {value!r}") from None
-        if not 3 <= self.nx <= MAX_EXACT_COUNT:
-            raise ConfigurationError(f"nx must be in [3, 2**53], got {self.nx}")
-        _require_velocity_count(self.nv)
+        store("nx", require_count("nx", self.nx, 3))
+        store("nv", _require_velocity_count(self.nv))
         times = self.t_snapshots
         if isinstance(times, str) or not isinstance(times, Iterable):
             raise ConfigurationError(f"t_snapshots expects a sequence of numbers, got {times!r}")
@@ -121,6 +121,9 @@ class Scenario:
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ConfigurationError("snapshot times must be strictly increasing")
         store("t_snapshots", times)
+        steps = times[-1] / self.resolved_dt
+        if not steps <= MAX_EXACT_COUNT:  # also rejects inf
+            raise ConfigurationError(f"t_end / dt = {steps} is not a step count of at most 2**53")
 
     @property
     def dx(self) -> float:
@@ -138,8 +141,14 @@ class Scenario:
         return default_time_step(self.dx, self.eta)
 
     @property
-    def t_end(self) -> float:
-        return self.t_snapshots[-1]
+    def snapshot_steps(self) -> dict[int, float]:
+        """{step: the first requested time it serves}, in step order; the last
+        step is the run's.  The step for time t is ceil(t/dt - 1e-9), counted
+        from t = 0, where ``initialize_state`` starts every run."""
+        steps: dict[int, float] = {}
+        for t in self.t_snapshots:
+            steps.setdefault(math.ceil(t / self.resolved_dt - 1e-9), t)
+        return steps
 
 
 _PAPER_RUN = dict(operator=OperatorKind.BGK, sigma=1.0, nx=100, nv=100, dt=1e-5)
@@ -212,8 +221,7 @@ def load_scenario(source: str | Path) -> Scenario:
 def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
     if not isinstance(kind, OperatorKind):
         raise ConfigurationError(f"operator expects an OperatorKind, got {kind!r}")
-    _require_velocity_count(nv)
-    grid = build_grid(nv // 2)
+    grid = build_grid(_require_velocity_count(nv) // 2)
     if kind is OperatorKind.BGK:
         return build_bgk(grid)
     if kind is OperatorKind.FOKKER_PLANCK:
@@ -258,14 +266,15 @@ class ScenarioRun:
 def run_scenario(scenario: Scenario) -> ScenarioRun:
     op = build_operator(scenario.operator, scenario.nv)
     params = scheme_params(scenario)
+    steps = scenario.snapshot_steps
     # the entry state goes straight to run(), which drops it after the first step
     result = run(
         initialize_state(scenario, op.grid),
         params,
         op,
         op.grid,
-        t_end=scenario.t_end,
-        snapshot_times=scenario.t_snapshots,
+        n_steps=max(steps),
+        snapshot_steps=steps,
     )
     return ScenarioRun(scenario, op, params, result)
 
@@ -376,10 +385,7 @@ def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> Err
     run_ = run_scenario(scenario)
     refs = _reference_curves(run_)
     x = run_.x_centers
-    t0, dt = run_.result.snapshots[0].time, run_.params.dt
-    requested = {}  # step -> the first requested time it serves, by run()'s rule
-    for t in scenario.t_snapshots:
-        requested.setdefault(int(_steps_to(t, t0, dt)), t)
+    requested = scenario.snapshot_steps
     rows: list[SnapshotReport] = []
     files: list[Path] = []
     directory: Path | None = None
@@ -430,8 +436,8 @@ def lambda_star_report(kind: OperatorKind, nv_list) -> list[LambdaStarRow]:
     target = _LAMBDA_TARGETS[kind]
     rows = []
     for nv in nv_list:
-        op = build_operator(kind, int(nv))
-        rows.append(LambdaStarRow(int(nv), op.lambda_star, target))
+        op = build_operator(kind, nv)
+        rows.append(LambdaStarRow(op.size, op.lambda_star, target))
     return rows
 
 

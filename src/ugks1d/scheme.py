@@ -46,8 +46,9 @@ import enum
 import math
 import numbers
 import time as _time
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import partial
+from operator import index
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dger, dgemm
@@ -63,7 +64,7 @@ from .linalg import (
 from .velocity_space import CollisionOperator, OperatorKind, VelocityGrid
 
 # the largest count every float holds exactly: dx = 1/nx, the velocities and
-# the step count (t_end - t)/dt are computed in floats
+# the step count t/dt are computed in floats
 MAX_EXACT_COUNT = 2**53
 # largest relative mass drift run() accepts; a sound run drifts by round-off
 MASS_DRIFT_MAX = 1e-9
@@ -88,6 +89,18 @@ def require_positive_finite(name: str, value) -> float:
     if not (number > 0 and math.isfinite(number)):
         raise ConfigurationError(f"{name} must be positive and finite, got {number}")
     return number
+
+
+def require_count(name: str, value, low: int) -> int:
+    """The rule for every count: an integer (numpy's pass; a bool or a float,
+    10.0 included, does not) in [low, 2**53]; returned as an int."""
+    try:
+        count = index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ConfigurationError(f"{name} expects int, got {value!r}") from None
+    if not low <= count <= MAX_EXACT_COUNT:
+        raise ConfigurationError(f"{name} must be in [{low}, 2**53], got {count}")
+    return count
 
 
 def require_choice(kind: type[enum.Enum], name: str, value) -> enum.Enum:
@@ -214,16 +227,18 @@ def default_time_step(dx: float, eta: float) -> float:
 def _invert_collision_system(system: np.ndarray):
     """Invert I - cD by the builder its nonzero pattern allows: tridiagonal,
     tridiagonal plus the corners (0, n-1) and (n-1, 0), or anything else by
-    Cholesky, which needs D symmetric negative semidefinite."""
+    Cholesky.  D must be symmetric, so that D 1 = 0 gives 1^T D = 0, as the
+    fluctuation solve assumes; Cholesky also needs it negative semidefinite."""
     n = system.shape[0]
     on_band = sum(np.count_nonzero(np.diagonal(system, k)) for k in (-1, 0, 1))
     off_band = np.count_nonzero(system) - on_band
     # ints, not numpy bools, whose sum is their logical or
     corners = int(system[0, n - 1] != 0.0) + int(system[n - 1, 0] != 0.0) if n >= 3 else 0
-    if off_band == 0:
-        return factor_tridiagonal(system)
-    if off_band == corners:
-        return factor_cyclic(system)
+    if off_band in (0, corners):  # O(n): compare the two bands and the two corners
+        bands_equal = np.array_equal(np.diagonal(system, -1), np.diagonal(system, 1))
+        if not (bands_equal and system[0, n - 1] == system[n - 1, 0]):
+            raise ConfigurationError("operator-invalid: D is not symmetric: its bands differ")
+        return factor_cyclic(system) if off_band else factor_tridiagonal(system)
     try:
         return factor_positive_definite(system)
     except SolverError as exc:
@@ -470,41 +485,30 @@ class RunResult:
         return max(drifts, key=abs)
 
 
-def _steps_to(t: float, t0: float, dt: float) -> float:
-    """The step-count rule that places run()'s snapshots; inf and NaN pass
-    through to the caller's bound."""
-    steps = (t - t0) / dt
-    return 0.0 if steps <= 0 else float(np.ceil(steps - 1e-9))
-
-
 def run(
     state: KineticState,
     params: SchemeParams,
     op: CollisionOperator,
     grid: VelocityGrid,
     *,
-    t_end: float | None = None,
-    n_steps: int | None = None,
-    snapshot_times: tuple[float, ...] = (),
+    n_steps: int,
+    snapshot_steps: Iterable[int] = (),
 ) -> RunResult:
-    """Advance repeatedly, emitting a snapshot at the first step reaching
-    each requested time (no interpolation).  One rule, which also sets the
-    step count from ``t_end``, places them: the snapshot for time t is the
-    state after ceil((t - t0)/dt - 1e-9) steps.  So times at or before t0
-    give the initial snapshot, times past the last step are ignored, times
-    in one step give one snapshot, and the last step is always one.
+    """Advance ``n_steps`` steps, with a snapshot of the state at step 0, at
+    every listed step up to ``n_steps`` and at ``n_steps``; listed steps past
+    the last are ignored.  Every count is an integer in [0, 2**53].  Turning
+    times into steps is ``scenarios.Scenario``'s rule, not this one's.
 
-    Exactly one of ``t_end`` / ``n_steps`` must be given.  The entry rho
-    must be the velocity mean of f (``RHO_GAP_MAX``): the step carries rho,
-    which keeps the mass exact, rather than recomputing it.  At every
-    snapshot and every ``BLOWUP_CHECK_EVERY`` steps, the mass must be within
-    ``MASS_DRIFT_MAX`` of the initial one, relative to the initial mass of
-    |rho|, and at snapshots f must also be finite; otherwise the run has
-    blown up (typically dt beyond the stability limit) and SolverError
-    names the step and time.
+    The entry rho must be the velocity mean of f (``RHO_GAP_MAX``): the
+    step carries rho, which keeps the mass exact, rather than recomputing
+    it.  At every snapshot and every ``BLOWUP_CHECK_EVERY`` steps, the mass
+    must be within ``MASS_DRIFT_MAX`` of the initial one, relative to the
+    initial mass of |rho|, and at snapshots f must also be finite;
+    otherwise the run has blown up (typically dt beyond the stability
+    limit) and SolverError names the step and time.
     """
-    if (t_end is None) == (n_steps is None):
-        raise ConfigurationError("give exactly one of t_end or n_steps")
+    n_steps = require_count("n_steps", n_steps, 0)
+    snapshot_steps = {require_count("snapshot step", s, 0) for s in snapshot_steps} | {n_steps}
     if grid.half_count != op.grid.half_count:
         raise ConfigurationError(
             f"grid has N = {grid.half_count} but the operator was built on "
@@ -519,23 +523,12 @@ def run(
         raise ConfigurationError(
             f"state.rho is not the velocity mean of state.f: largest gap {worst:.3e} in cell {cell}"
         )
-    t0 = state.t
-
-    steps_to = partial(_steps_to, t0=t0, dt=params.dt)
-    if n_steps is None:
-        n_steps = steps_to(t_end)
-        if not n_steps <= MAX_EXACT_COUNT:  # also rejects NaN and inf
-            raise ConfigurationError(
-                f"(t_end - t) / dt = {n_steps} is not a step count of at most 2**53"
-            )
-        n_steps = int(n_steps)
-    snapshot_steps = {int(s) for s in map(steps_to, snapshot_times) if s <= n_steps} | {n_steps}
 
     dx_mass = params.dx
     m0 = dx_mass * float(state.rho.sum())
     mass_scale = dx_mass * float(np.abs(state.rho).sum())
     mass_tol = MASS_DRIFT_MAX * mass_scale
-    snapshots = [Snapshot(t0, 0, state.rho.copy(), m0)]
+    snapshots = [Snapshot(state.t, 0, state.rho.copy(), m0)]
 
     def checked_mass(state: KineticState, step: int, check_f: bool) -> float:
         mass = dx_mass * float(state.rho.sum())

@@ -123,6 +123,16 @@ def test_scenario_validation(tmp_path):
         dataclasses.replace(PRESETS["diffusive"], nx=50.5)
 
 
+def test_scenario_checks_the_step_count_when_built(tmp_path):
+    # run() took this far: the bound fails when the config loads, not when it runs
+    assert_every_door_rejects(
+        tmp_path, r"^t_end / dt = 9.99+e\+299 is not a step count of at most 2\*\*53$",
+        dt=1e-300, t_snapshots=(1.0,),
+    )
+    largest = dataclasses.replace(PRESETS["diffusive"], dt=1.0, t_snapshots=(2.0**53,))
+    assert largest.snapshot_steps == {2**53: 2.0**53}
+
+
 def test_scenario_stores_members_floats_and_a_tuple():
     scenario = Scenario(
         name="x", operator="fp", eta=1, epsilon=np.float32(0.5), sigma=2, nx=10, nv=4,
@@ -164,12 +174,13 @@ def test_resolved_dt():
         nx=50, nv=4, dt=None, t_snapshots=(0.1,),
     )
     np.testing.assert_allclose(scenario.resolved_dt, 0.5 * 0.02**2 + 0.5 * 0.2 * 0.02)
-    assert scenario.t_end == 0.1
+    assert scenario.snapshot_steps == {46: 0.1}  # 0.1 / 0.0022 = 45.5 steps
     fixed = Scenario(
         name="x", operator=OperatorKind.BGK, eta=0.2, epsilon=1.0, sigma=1.0,
         nx=50, nv=4, dt=7e-4, t_snapshots=(0.1,),
     )
     assert fixed.resolved_dt == 7e-4
+    assert fixed.snapshot_steps == {143: 0.1}
 
 
 def test_build_operator_dispatch():
@@ -182,6 +193,13 @@ def test_build_operator_dispatch():
     for kind in ("bgk", "sc", None):
         with pytest.raises(ConfigurationError, match="operator expects an OperatorKind"):
             build_operator(kind, 10)
+
+
+def test_build_operator_takes_an_integer_count():
+    # 4.0 raised a bare TypeError from build_grid's floor division
+    with pytest.raises(ConfigurationError, match="^nv expects int, got 4.0$"):
+        build_operator(OperatorKind.BGK, 4.0)
+    assert build_operator(OperatorKind.BGK, np.int64(4)).size == 4
 
 
 # -------------------------------------------------------------- initial state
@@ -499,6 +517,14 @@ def test_lambda_star_report_takes_the_value_string():
         lambda_star_report("xx", [4])
 
 
+@pytest.mark.parametrize("nv, text", [(4.7, "4.7"), ("6", "'6'")])
+def test_lambda_star_report_rejects_a_count_that_is_not_an_integer(nv, text):
+    # each was coerced: [4.7, "6"] reported rows for nv = 4 and nv = 6
+    with pytest.raises(ConfigurationError, match=f"^nv expects int, got {text}$"):
+        lambda_star_report("bgk", [nv])
+    assert [row.nv for row in lambda_star_report("bgk", [np.int64(6)])] == [6]
+
+
 def _diffusive_linf(eta, reference):
     """L-infinity error at t = 0.02 of a short BGK run with eps = 1e-4."""
     scenario = Scenario(
@@ -782,7 +808,7 @@ def test_blow_up_stops_before_the_only_snapshot(tmp_path):
         "dt": "auto", "t_snapshots": [0.01],
     }))
     scenario = load_scenario(config)
-    n_steps = math.ceil(scenario.t_end / scenario.resolved_dt)
+    n_steps = max(scenario.snapshot_steps)
     with pytest.raises(SolverError, match="blow-up at step") as info:
         run_scenario(scenario)
     step = int(re.search(r"step (\d+),", str(info.value)).group(1))

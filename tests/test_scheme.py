@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ugks1d.errors import ConfigurationError
 from ugks1d.errors import SolverError
 from ugks1d.linalg import CyclicTridiagonalFactor, TridiagonalFactor
 from ugks1d.reference import limit_diffusion_step, upwind_transport_step
+from ugks1d.scenarios import Scenario, run_scenario
 from ugks1d.scheme import (
     KineticState,
     SchemeParams,
@@ -355,14 +357,13 @@ def test_collision_solve_leaves_its_arguments_alone():
 
 
 def _band_and_corner_matrix(n, rng, corners=True):
+    """A symmetric tridiagonal matrix, with equal corners when ``corners``."""
     matrix = np.zeros((n, n))
     idx = np.arange(n)
     matrix[idx, idx] = 2.0 + rng.random(n)
-    matrix[idx[1:], idx[1:] - 1] = -rng.random(n - 1) - 0.1
-    matrix[idx[:-1], idx[:-1] + 1] = -rng.random(n - 1) - 0.1
+    matrix[idx[1:], idx[1:] - 1] = matrix[idx[:-1], idx[:-1] + 1] = -rng.random(n - 1) - 0.1
     if corners:
-        matrix[0, n - 1] = -0.3
-        matrix[n - 1, 0] = -0.4
+        matrix[0, n - 1] = matrix[n - 1, 0] = -0.3
     return matrix
 
 
@@ -397,11 +398,32 @@ def test_cyclic_bands_reject_any_off_band_entry(n, builder_names):
 def test_cyclic_bands_count_each_corner(n, builder_names):
     # two nonzero corners must count as 2: the sum of two numpy bools is True
     matrix = _band_and_corner_matrix(n, np.random.default_rng(n), corners=False)
-    for corners in ([(0, n - 1)], [(n - 1, 0)], [(0, n - 1), (n - 1, 0)]):
-        cyclic = matrix.copy()
-        for i, j in corners:
-            cyclic[i, j] = -0.3
-        assert _invert_collision_system(cyclic) == "factor_cyclic"
+    cyclic = matrix.copy()
+    cyclic[0, n - 1] = cyclic[n - 1, 0] = -0.3
+    assert _invert_collision_system(cyclic) == "factor_cyclic"
+    # one corner alone is a cyclic pattern that is not symmetric
+    for i, j in ((0, n - 1), (n - 1, 0)):
+        one_corner = matrix.copy()
+        one_corner[i, j] = -0.3
+        with pytest.raises(ConfigurationError, match="D is not symmetric"):
+            _invert_collision_system(one_corner)
+
+
+@pytest.mark.parametrize(
+    "name, nv, entry",
+    [("fp", 4, "band"), ("fp", 10, "band"), ("sc", 6, "band"), ("sc", 6, "corner"),
+     ("sc", 10, "corner")],
+)
+def test_stepper_rejects_an_asymmetric_banded_operator(name, nv, entry):
+    # a tridiagonal (fp) or cyclic (sc) D whose two bands, or two corners,
+    # differ: the fluctuation solve and the re-centre assume 1^T D = 0
+    op = BUILDERS[name](build_grid(nv // 2))
+    matrix = op.matrix.copy()
+    i, j = (0, nv - 1) if entry == "corner" else (nv // 2, nv // 2 + 1)
+    matrix[i, j] *= 1.5
+    asymmetric = dataclasses.replace(op, matrix=matrix)
+    with pytest.raises(ConfigurationError, match="operator-invalid: D is not symmetric"):
+        Stepper(asymmetric, make_params())
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -765,16 +787,43 @@ def test_implicit_variant_stable_beyond_explicit_step_limit():
 # -------------------------------------------------------------- run() driver
 
 
-def test_run_requires_exactly_one_horizon():
+def test_run_rejects_a_grid_other_than_the_operators():
     op = build_bgk(build_grid(2))
     state = random_state(np.random.default_rng(41), 5, 4)
-    params = make_params(dx=0.2)
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        run(state, params, op, op.grid)
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        run(state, params, op, op.grid, t_end=1.0, n_steps=3)
     with pytest.raises(ConfigurationError, match="N = 3"):
-        run(state, params, op, build_grid(3), n_steps=1)
+        run(state, make_params(dx=0.2), op, build_grid(3), n_steps=1)
+
+
+# the first three returned steps == -5 or steps is True, or ran without end
+BAD_COUNTS = {
+    "negative": (dict(n_steps=-5), r"n_steps must be in \[0, 2\*\*53\], got -5"),
+    "bool": (dict(n_steps=True), "n_steps expects int, got True"),
+    "1e20": (dict(n_steps=10**20), r"n_steps must be in \[0, 2\*\*53\], got 10{20}"),
+    "2**53+1": (dict(n_steps=2**53 + 1), "n_steps must be in"),
+    "float": (dict(n_steps=10.0), "n_steps expects int, got 10.0"),
+    "float-snapshot": (dict(n_steps=3, snapshot_steps=(1.5,)), "snapshot step expects int, got 1.5"),
+    "negative-snapshot": (dict(n_steps=3, snapshot_steps=(-1,)), "snapshot step must be in"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_run_takes_counts_by_the_one_count_rule(case):
+    counts, message = BAD_COUNTS[case]
+    op = build_bgk(build_grid(2))
+    state = random_state(np.random.default_rng(41), 5, 4)
+    with pytest.raises(ConfigurationError, match=message):
+        run(state, make_params(dx=0.2), op, op.grid, **counts)
+
+
+def test_require_count_takes_integers_alone():
+    assert scheme.require_count("n", np.int64(7), 0) == 7
+    assert type(scheme.require_count("n", np.int32(2**31 - 1), 0)) is int
+    assert scheme.require_count("n", 2**53, 0) == 2**53
+    for value in (True, 7.0, "7", None, 7.5):
+        with pytest.raises(ConfigurationError, match="n expects int"):
+            scheme.require_count("n", value, 0)
+    with pytest.raises(ConfigurationError, match=r"n must be in \[3, 2\*\*53\], got 2"):
+        scheme.require_count("n", 2, 3)
 
 
 def test_run_rejects_a_rho_that_is_not_the_mean_of_f():
@@ -827,24 +876,33 @@ def test_run_zero_steps_returns_initial_state():
     assert result.mass_drift == 0.0
 
 
+def constant_scenario(dt=0.7, times=(0.7,)):
+    """A three-cell BGK scenario at eta = 10, where a step of 0.7 has CFL about 0.1."""
+    return Scenario(
+        name="steps", operator="bgk", eta=10.0, epsilon=1.0, sigma=1.0,
+        nx=3, nv=2, dt=dt, t_snapshots=times,
+    )
+
+
+def snapshot_steps_of(scenario):
+    return [snap.step for snap in run_scenario(scenario).result.snapshots]
+
+
 def test_run_step_count_from_t_end():
-    op = build_bgk(build_grid(2))
-    state = random_state(np.random.default_rng(47), 5, 4)
-    params = make_params(dt=0.1, dx=0.2)
-    result = run(state, params, op, op.grid, t_end=0.5)
+    # Scenario's step count: the last time over dt, counted from t = 0
+    scenario = constant_scenario(dt=0.1, times=(0.5,))
+    assert scenario.snapshot_steps == {5: 0.5}
+    result = run_scenario(scenario).result
     assert result.steps == 5
     np.testing.assert_allclose(result.final.t, 0.5, rtol=1e-12)
-    # a horizon in the past means no stepping
-    assert run(result.final, params, op, op.grid, t_end=0.1).steps == 0
 
 
 def test_run_snapshot_placement():
     op = build_bgk(build_grid(2))
     state = random_state(np.random.default_rng(53), 5, 4)
     params = make_params(dt=0.1, dx=0.2)
-    result = run(
-        state, params, op, op.grid, n_steps=5, snapshot_times=(0.0, 0.25, 0.5)
-    )
+    # step 0 is always the first snapshot, and a step past the last is ignored
+    result = run(state, params, op, op.grid, n_steps=5, snapshot_steps=(0, 3, 5, 7))
     times = [snap.time for snap in result.snapshots]
     steps = [snap.step for snap in result.snapshots]
     assert steps == [0, 3, 5]
@@ -856,40 +914,40 @@ def test_run_snapshot_placement():
         np.testing.assert_allclose(snap.mass, params.dx * snap.rho.sum(), rtol=1e-15)
 
 
-def constant_run(t0=0.0, dt=0.7, **horizon):
-    """run() on a constant state, a fixed point, at eta = 10 on three cells."""
-    op = build_bgk(build_grid(1))
-    state = KineticState(np.full((3, 2), 0.5), np.full(3, 0.5), t0)
-    return run(state, make_params(eta=10.0, epsilon=1.0, dt=dt, dx=1.0 / 3), op, op.grid, **horizon)
-
-
 def test_run_snapshot_steps_follow_the_step_count_rule():
     # after 304 steps of 0.7 the summed time falls short of 212.8 by more than
     # 1e-12, so a time comparison took that snapshot one step late, at the
     # last step, and dropped the 213.5 one
-    result = constant_run(t_end=213.5, snapshot_times=(212.8, 213.5))
-    assert [snap.step for snap in result.snapshots] == [0, 304, 305]
-    assert constant_run(t_end=212.8).steps == 304
+    scenario = constant_scenario(times=(212.8, 213.5))
+    assert scenario.snapshot_steps == {304: 212.8, 305: 213.5}
+    assert snapshot_steps_of(scenario) == [0, 304, 305]
+    assert run_scenario(constant_scenario(times=(212.8,))).result.steps == 304
 
 
 def test_run_gives_two_times_in_one_step_one_snapshot():
-    result = constant_run(dt=1e-3, t_end=0.004, snapshot_times=(0.0025, 0.0026, 0.004))
-    assert [snap.step for snap in result.snapshots] == [0, 3, 4]
+    scenario = constant_scenario(dt=1e-3, times=(0.0025, 0.0026, 0.004))
+    assert scenario.snapshot_steps == {3: 0.0025, 4: 0.004}
+    assert snapshot_steps_of(scenario) == [0, 3, 4]
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.floats(-1e4, 1e4),
     st.floats(0.05, 1.0),
-    st.lists(st.one_of(st.floats(-2.0, 100.0), st.integers(-2, 100)), min_size=1, max_size=4),
+    st.lists(st.one_of(st.floats(1e-6, 100.0), st.integers(1, 100)), min_size=1, max_size=4),
 )
-def test_each_snapshot_sits_at_the_step_count_of_its_time(t0, dt, offsets):
-    # far from t = 0 the summed time drifts from t0 + k dt by more than 1e-12
-    # within a few steps; integer offsets put a time on a multiple of dt
-    times = sorted({t0 + dt * x for x in offsets})
-    result = constant_run(t0, dt, t_end=times[-1], snapshot_times=tuple(times))
-    expected = {0} | {constant_run(t0, dt, t_end=t).steps for t in times}
-    assert [snap.step for snap in result.snapshots] == sorted(expected)
+def test_each_snapshot_sits_at_the_step_count_of_its_time(dt, offsets):
+    # integer offsets put a time on a multiple of dt, up to its rounding
+    times = sorted({dt * x for x in offsets})
+    scenario = constant_scenario(dt, tuple(times))
+    steps = scenario.snapshot_steps
+    assert list(steps) == sorted(steps)
+    for t in times:
+        step = max(constant_scenario(dt, (t,)).snapshot_steps)
+        assert steps.get(step, t) <= t  # the first time of a step labels it
+        # the first step whose end reaches t, to within 1e-9 of a step
+        ratio = Fraction(t) / Fraction(dt)
+        assert ratio - Fraction(11, 10**10) <= step < ratio + 1 - Fraction(9, 10**10)
+    assert snapshot_steps_of(scenario) == [0, *steps]
 
 
 def test_mass_drift_of_a_mean_zero_density():
