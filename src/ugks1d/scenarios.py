@@ -84,8 +84,9 @@ class Scenario:
     value string and store the member; ``eta``, ``epsilon``, ``sigma`` and
     ``dt`` (or None) are real numbers, not bools or strings, positive and
     finite; ``nx`` and ``nv`` are integers; ``t_snapshots`` is any sequence of
-    increasing positive times, stored as a tuple, the last at most 2**53
-    steps; ``name`` is a str.  ``snapshot_steps`` turns the times into steps.
+    increasing positive times, stored as a tuple, the first at least one step
+    and the last at most 2**53 steps; ``name`` is a str.  ``snapshot_steps``
+    turns the times into steps.
     """
 
     name: str
@@ -124,6 +125,10 @@ class Scenario:
         steps = times[-1] / self.resolved_dt
         if not steps <= MAX_EXACT_COUNT:  # also rejects inf
             raise ConfigurationError(f"t_end / dt = {steps} is not a step count of at most 2**53")
+        if 0 in self.snapshot_steps:  # the initial state, which no CSV records
+            raise ConfigurationError(
+                f"snapshot time {times[0]!r} is step 0 at dt = {self.resolved_dt!r}; it needs one step"
+            )
 
     @property
     def dx(self) -> float:

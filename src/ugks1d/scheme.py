@@ -20,14 +20,19 @@ phi itself, only its difference across a cell,
                         + (jump of the edge density) C V
                         + (jump of the density gradient) D lambda_star U V,
 
-an upwind difference of F plus one rank-two product.  The density flux,
-the velocity mean of phi, is A J + D <V,V>/(2N) grad rho for the edge
-current J, so the two updates share the gradient jump.  Collisions are
-implicit: each cell solves (I - c D_op) F = rhs with c = sigma dt/(eps eta).
-For BGK that solve is F = k rhs + (rho^{n+1} - k mean rhs), k = 1/(1 + c),
-so ``Stepper`` folds k into the rows that assemble rhs and the collision
-costs no pass of its own.  Every other operator gets one dense inverse,
-built once per run and applied to every cell as one matrix product.
+an upwind difference of F plus one rank-two product.  The edge density
+at i+1/2 takes the positive velocities from cell i and the negative ones
+from cell i+1, so its jump across cell i is the velocity mean of the
+upwind difference U, and the jump of the edge current J is the velocity
+mean of V U; the gradient jump is the periodic second difference of rho
+over dx.  The density flux, the velocity mean of phi, is
+A J + D <V,V>/(2N) grad rho, so the two updates share these jumps.
+Collisions are implicit: each cell solves (I - c D_op) F = rhs with
+c = sigma dt/(eps eta).  For BGK that solve is F = k rhs + (rho^{n+1} -
+k mean rhs), k = 1/(1 + c), so ``Stepper`` folds k into the rows that
+assemble rhs and the collision costs no pass of its own.  Every other
+operator gets one dense inverse, built and centred once per run and
+applied to every cell as one matrix product (``Stepper._collide``).
 
 ``KineticState.f`` has shape (nx, 2N).  The step accepts either memory
 order but works velocity-major, on f.T as one C-contiguous (2N, nx) block,
@@ -61,7 +66,7 @@ from .linalg import (
     factor_positive_definite,
     factor_tridiagonal,
 )
-from .velocity_space import CollisionOperator, OperatorKind, VelocityGrid
+from .velocity_space import CollisionOperator, VelocityGrid
 
 # the largest count every float holds exactly: dx = 1/nx, the velocities and
 # the step count t/dt are computed in floats
@@ -247,73 +252,61 @@ def _invert_collision_system(system: np.ndarray):
         ) from None
 
 
-def _forward_difference(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a_{i+1} - a_i along the last axis, on the periodic mesh, into ``out``."""
-    np.subtract(a[..., 1:], a[..., :-1], out=out[..., :-1])
-    np.subtract(a[..., 0], a[..., -1], out=out[..., -1])
-    return out
-
-
-def _backward_difference(a: np.ndarray) -> np.ndarray:
-    """a_i - a_{i-1} along the last axis, on the periodic mesh, as a new array."""
-    out = np.empty_like(a)
-    np.subtract(a[..., 1:], a[..., :-1], out=out[..., 1:])
-    np.subtract(a[..., 0], a[..., -1], out=out[..., 0])
-    return out
+def _second_difference(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(a_{i+1} - a_i) - (a_i - a_{i-1}) on the periodic mesh, into ``out``."""
+    nx = a.shape[0]
+    backward = np.empty(nx + 1)  # a_i - a_{i-1} for i = 0 .. nx, periodic
+    np.subtract(a[:1], a[-1:], out=backward[::nx])  # the wrap, at both ends
+    np.subtract(a[1:], a[:-1], out=backward[1:nx])
+    return np.subtract(backward[1:], backward[:-1], out=out)
 
 
 class Stepper:
     """One run's update, with every per-run quantity computed once.
 
     Built from the operator and the parameters alone: the flux
-    coefficients, the half-moment weights, the rows of the flux difference
-    and the dense inverse of the collision system (none for BGK), whose
-    builder is chosen by the nonzero pattern of I - cD; a dense D that is
-    not negative semidefinite fails here, with operator-invalid.  The
-    upwind scale array and the eigenvalues of the implicit-diffusion macro
-    system depend on the cell count, so they are computed on the first step
-    with each cell count and kept.  The variant is ``params.variant``.
+    coefficients, the rows of the flux difference and, for every operator
+    but BGK, ``_collide``'s centred inverse of I - cD, whose builder is
+    chosen by the nonzero pattern of I - cD; a dense D that is not negative
+    semidefinite fails here, with operator-invalid.  The matrix, not the
+    label, decides which operator is BGK: exactly ``build_bgk``'s P0 - I.
+    The upwind scale array and the eigenvalues of the implicit-diffusion
+    macro system depend on the cell count, so they are computed on the
+    first step with each cell count and kept.  The variant is
+    ``params.variant``.
 
     The step works on the C-contiguous (2N, nx) block f.T, copying a
-    C-ordered entry f to that order first.  The half moments are one BLAS
-    product of four weight rows with that block, and every periodic shift
-    of a cell vector is a slice difference.  The jumps of the edge
-    density, the density gradient and the edge current are one backward
-    difference of a (3, nx) block; the explicit density update is the last
-    two against two weights, one BLAS product.  The kinetic right-hand
-    side rhs = F - (dt/dx)(phi_i - phi_{i-1}) is built term by term, times
-    k, in the one array that becomes the new F, where k = 1/(1 + c) for BGK
-    and 1 otherwise.  With the negative
-    velocities first, the upwind difference is F_i - F_{i-1} on the
-    positive half and F_{i+1} - F_i on the negative half; each half is one
-    contiguous block, so each is one flat subtraction plus one wrap column,
-    times -k (dt/dx) A V stored as a (2N, nx) array: numpy multiplies two
-    arrays of one shape faster than it broadcasts a column.  One BLAS daxpy
-    adds k F.  Then one BLAS product adds three rows, -k (dt/dx) C V,
-    -k (dt/dx) D lambda_star U V and ones, times the edge-density and
-    gradient jumps, read in place, and a cell vector beta written over the
-    current jump.
+    C-ordered entry f to that order first.  With the negative velocities
+    first, the upwind difference U is F_i - F_{i-1} on the positive half
+    and F_{i+1} - F_i on the negative half; each half is one contiguous
+    block, so each is one flat subtraction plus one wrap column.  The
+    jumps of the edge density and current are then one (2, 2N) @ (2N, nx)
+    product on U, and the gradient jump's 1/dx is folded into its weights.
+    The explicit density update is the current jump and the second
+    difference of rho against two weights, one product.
+
+    The kinetic right-hand side rhs = F - (dt/dx)(phi_i - phi_{i-1}) is
+    built term by term, times k, in the one array that becomes the new F,
+    where k = 1/(1 + c) for BGK and 1 otherwise.  U is scaled by
+    -k (dt/dx) A V stored as a (2N, nx) array: numpy multiplies two arrays
+    of one shape faster than it broadcasts a column.  One BLAS daxpy adds
+    k F.  Then one BLAS product adds three rows, -k (dt/dx) C V, ones and
+    -k (dt/dx^2) D lambda_star U V, times the edge-density jump, a cell
+    vector beta written over the current jump, and the second difference.
 
     For BGK, D = P0 - I, so the collision solve is F = k rhs + (rho^{n+1}
     - k mean rhs).  The two rank-two rows are given velocity mean zero,
     which changes no F, and beta = rho^{n+1} - the velocity mean of the
     array before the product, one BLAS read; so the product ends the step.
 
-    Every other operator solves in fluctuation form: beta = -rho^{n+1}, so
-    the product leaves G = rhs - rho^{n+1} 1, and (I - cD) F' = G.  The
-    kernel component never passes through the solver, so its rounding
-    (the assembled matrix entries scale like c/dv^2) cannot leak into the
-    conserved mean; F' is re-centred on rho^{n+1} afterwards, which the
-    exact solution satisfies.  The inverse multiplies the whole (2N, nx)
-    block at once; the re-centre's velocity mean is one BLAS product and
-    the re-centre itself one BLAS rank-one update, in place.
+    Every other operator's beta is -rho^{n+1}, so the product leaves the
+    fluctuation G = rhs - rho^{n+1} 1 for ``_collide``.
 
     The implicit-diffusion macro system (I + mu Lap) rho^{n+1} =
     rho^n - (dt A/dx) diff(J), with mu = dt <V,V>/(2N) D_coef / dx^2 < 0,
     is circulant with eigenvalues 1 - 4 mu sin^2(pi k/nx) >= 1, so the
-    division in Fourier space is always safe.  Its right-hand side takes
-    its own jump of the current; the three jumps are formed after the
-    solve, so the kinetic fluxes use the new-time gradient.
+    division in Fourier space is always safe.  Its right-hand side reads
+    the current jump from the same product as the edge-density jump.
     """
 
     def __init__(self, op: CollisionOperator, params: SchemeParams):
@@ -322,42 +315,37 @@ class Stepper:
         self.coeffs = flux_coefficients(params, op.lambda_star)
         grid = op.grid
         n = grid.size
-        half = grid.half_count
         v = grid.velocities
-        self._half = half
-        # rows rho+, J+, rho-, J-: the density and the current of the positive
-        # half, then of the negative half, as velocity means
-        rows = np.zeros((4, n))
-        rows[0, half:] = 1.0 / n
-        rows[1, half:] = v[half:] / n
-        rows[2, :half] = 1.0 / n
-        rows[3, :half] = v[:half] / n
-        self.moment_rows = rows
-        self.mean_row = np.full(n, 1.0 / n)
+        self._half = grid.half_count
+        mean_row = np.full(n, 1.0 / n)
+        # the velocity mean and current of the upwind difference: the jumps of
+        # the edge density and the edge current across each cell
+        self._jump_rows = np.stack((mean_row, v / n))
         self._ones = np.ones(n)
         self.c = params.stiffness
-        bgk = op.kind is OperatorKind.BGK
+        # build_bgk's P0 - I: 1/n - 1 on the diagonal and 1/n elsewhere
+        bgk = op.matrix.shape == (n, n) and bool((op.matrix.diagonal() == 1.0 / n - 1.0).all())
+        bgk = bgk and np.count_nonzero(op.matrix == 1.0 / n) == n * n - n
         self.k = 1.0 / (1.0 + self.c) if bgk else 1.0
         # the rows of the flux difference, each times -k dt/dx: a V for the
-        # upwind difference, then c V and d lambda* U V for the rank-two term,
-        # and ones for beta; in Fortran order so that dgemm reads them without
-        # a copy.  For BGK the rank-two rows must have velocity mean zero; c V
-        # has it on the symmetric grid, and d lambda* U V is centred.
+        # upwind difference, then c V, ones for beta and d lambda* U V / dx for
+        # the second difference of rho; in Fortran order so that dgemm reads
+        # them without a copy.  For BGK the rank-two rows must have velocity
+        # mean zero; c V has it on the symmetric grid, and the last is centred.
         scale = -self.k * params.dt / params.dx
         self._upwind_column = (scale * self.coeffs.a_coef * v)[:, None]
         rows = np.empty((3, n), order="F")
         np.multiply(scale * self.coeffs.c_coef, v, out=rows[0])
-        np.multiply(scale * self.coeffs.d_coef * op.lambda_star * op.u_vector, v, out=rows[1])
+        rows[1] = 1.0
+        d_scale = scale * self.coeffs.d_coef * op.lambda_star / params.dx
+        np.multiply(d_scale * op.u_vector, v, out=rows[2])
         if bgk:
-            rows[1] -= self.mean_row @ rows[1]
-        rows[2] = 1.0
+            rows[2] -= mean_row @ rows[2]
         self.rows = rows
         self.vv_mean = float(v @ v) / n
-        # the explicit density update's weights of the gradient and current jumps
-        self._macro_row = (params.dt / params.dx) * np.array(
-            [self.coeffs.d_coef * self.vv_mean, self.coeffs.a_coef]
-        )
         self.macro_mu = params.dt * self.vv_mean * self.coeffs.d_coef / params.dx**2
+        # the density update's weights of the current jump and the second difference
+        self._macro_row = np.array([params.dt * self.coeffs.a_coef / params.dx, self.macro_mu])
         # per cell count: the upwind scale as a (2N, nx) array, and the
         # macro eigenvalues
         self._upwind_scales: dict[int, np.ndarray] = {}
@@ -367,21 +355,33 @@ class Stepper:
             # I - cD in one fresh array (np.eye(n) - cD costs 8x as much at n = 800)
             system = -self.c * op.matrix
             system[np.arange(n), np.arange(n)] += 1.0
-            self._collision_factor = _invert_collision_system(system)
+            factor = _invert_collision_system(system)
+            # Q = inverse - 1 (column means of the inverse), in place: the
+            # factor keeps its class, whose solve the benchmark's probes count
+            inverse = factor.inverse
+            inverse -= mean_row @ inverse
+            self._collision_factor = factor
 
     def _collide(self, g: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
-        """Solve (I - cD) F = rhs through the dense inverse, given the
-        fluctuation g = rhs - rho_new 1, and return F re-centred on rho_new.
+        """Solve (I - cD) F = rhs given the fluctuation g = rhs - rho_new 1:
+        F = Q g + rho_new 1, a new array.
 
-        Velocity-major: ``g`` is a C-contiguous (2N, nx) block, one column
-        per cell, and F, a new array, has the same shape.  The re-centre
-        adds beta = rho_new - (the velocity mean of the solution) to every
-        velocity of a cell: one BLAS rank-one update of the solution's
-        transpose, beta times a row of ones, in place.
+        D is symmetric with D 1 = 0, so the exact F has velocity mean rho_new,
+        and "solve by the inverse, then add rho_new minus the mean of the
+        solution" is Q g + rho_new 1 with Q = inverse - 1 (column means of
+        the inverse), formed once per run.  Q holds no entry near zero: the
+        inverse's entries decay away from the diagonal, to subnormal numbers
+        when c is small, which slow the product several-fold; Q's sit near
+        -1/(2N) there.  The product keeps the fluctuation form because Q 1
+        is zero only to the inverse's rounding (inverse 1 - 1 is 3e-12 for sc
+        at the diffusive preset), so Q applied to rhs itself would leak
+        |Q 1| rho_new into F on every step; g has mean zero.
+
+        ``g`` is a C-contiguous (2N, nx) block, one column per cell; rho_new
+        is added by one BLAS rank-one update (dger), in place.
         """
-        g = self._collision_factor.solve(g)
-        beta = rho_new - self.mean_row @ g
-        return dger(1.0, beta, self._ones, a=g.T, overwrite_a=True).T
+        f = self._collision_factor.solve(g)
+        return dger(1.0, rho_new, self._ones, a=f.T, overwrite_a=True).T
 
     def _solve_macro(self, rhs_rho: np.ndarray) -> np.ndarray:
         """Solve the circulant system (1 - 2 mu, mu, mu) rho = rhs by FFT."""
@@ -409,27 +409,10 @@ class Stepper:
         rho = state.rho
         h = self._half
         nx = f.shape[1]
-        moments = self.moment_rows @ f
-        # rows: edge density, density gradient, edge current; the edge values
-        # are at interface i+1/2, the positive half of cell i plus the
-        # negative half of cell i+1
-        cells = np.empty((3, nx))
-        np.add(moments[:2, :-1], moments[2:, 1:], out=cells[::2, :-1])
-        np.add(moments[:2, -1], moments[2:, 0], out=cells[::2, -1])
-
-        if p.variant is Variant.EXPLICIT_DIFFUSION:
-            jumps = self._jumps(cells, rho)
-            rho_new = rho - self._macro_row @ jumps[1:]
-        else:  # Variant.IMPLICIT_DIFFUSION, the only other value SchemeParams admits
-            rhs_rho = rho - (p.dt * self.coeffs.a_coef / p.dx) * _backward_difference(cells[2])
-            rho_new = self._solve_macro(rhs_rho)
-            jumps = self._jumps(cells, rho_new)
-
-        # k (f - dt/dx (phi_i - phi_{i-1})), differenced term by term; the
-        # rows carry the -k dt/dx.  The upwind term is a V (f_{i+1} - f_i)
-        # where V < 0 and a V (f_i - f_{i-1}) where V > 0.  On each half's
-        # flat block the shifted subtraction is wrong only where it crosses
-        # from one velocity to the next, in the column the wrap then overwrites.
+        # the upwind difference: f_{i+1} - f_i where V < 0 and f_i - f_{i-1}
+        # where V > 0.  On each half's flat block the shifted subtraction is
+        # wrong only where it crosses from one velocity to the next, in the
+        # column the wrap then overwrites.
         f_new = np.empty_like(f)
         flat, flat_new = f.reshape(-1), f_new.reshape(-1)
         cut = h * nx  # offset of the first positive velocity
@@ -437,24 +420,29 @@ class Stepper:
         np.subtract(f[:h, 0], f[:h, -1], out=f_new[:h, -1])
         np.subtract(flat[cut + 1 :], flat[cut:-1], out=flat_new[cut + 1 :])
         np.subtract(f[h:, 0], f[h:, -1], out=f_new[h:, 0])
+        # rows: the jumps of the edge density and the edge current, then the
+        # second difference of rho
+        jumps = np.empty((3, nx))
+        np.matmul(self._jump_rows, f_new, out=jumps[:2])
+        if p.variant is Variant.EXPLICIT_DIFFUSION:
+            _second_difference(rho, jumps[2])
+            rho_new = rho - self._macro_row @ jumps[1:]
+        else:  # Variant.IMPLICIT_DIFFUSION, the only other value SchemeParams admits
+            rho_new = self._solve_macro(rho - self._macro_row[0] * jumps[1])
+            _second_difference(rho_new, jumps[2])
+
+        # k (f - dt/dx (phi_i - phi_{i-1})), differenced term by term; the
+        # scale and the rows carry the -k dt/dx
         f_new *= self._upwind_scale(nx)
         daxpy(flat, flat_new, a=self.k)  # in place: flat_new is contiguous
-        # the jumps of the edge density and the gradient, and beta in place
-        # of the current jump, against the rows: one (2N, 3) @ (3, nx)
+        # beta in place of the current jump, then one (2N, 3) @ (3, nx)
         # product that BLAS adds in place; BGK's beta ends its collision,
         # the others' leaves the fluctuation
         bgk = self._collision_factor is None
-        jumps[2] = rho_new - self.mean_row @ f_new if bgk else -rho_new
+        jumps[1] = rho_new - self._jump_rows[0] @ f_new if bgk else -rho_new
         f_new = dgemm(1.0, jumps.T, self.rows, beta=1.0, c=f_new.T, overwrite_c=True).T
         f_new = f_new if bgk else self._collide(f_new, rho_new)
         return KineticState(f_new.T, rho_new, state.t + p.dt)
-
-    def _jumps(self, cells: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Fill the gradient row of ``cells`` from ``rho`` and return the
-        jumps of all three rows across each cell, a new (3, nx) array."""
-        grad = _forward_difference(rho, cells[1])
-        grad /= self.params.dx
-        return _backward_difference(cells)
 
 
 @dataclass(frozen=True)
@@ -499,13 +487,14 @@ def run(
     the last are ignored.  Every count is an integer in [0, 2**53].  Turning
     times into steps is ``scenarios.Scenario``'s rule, not this one's.
 
-    The entry rho must be the velocity mean of f (``RHO_GAP_MAX``): the
-    step carries rho, which keeps the mass exact, rather than recomputing
-    it.  At every snapshot and every ``BLOWUP_CHECK_EVERY`` steps, the mass
-    must be within ``MASS_DRIFT_MAX`` of the initial one, relative to the
-    initial mass of |rho|, and at snapshots f must also be finite;
-    otherwise the run has blown up (typically dt beyond the stability
-    limit) and SolverError names the step and time.
+    f must have shape (nx, 2N) and rho (nx,).  The entry rho must be the
+    velocity mean of f (``RHO_GAP_MAX``): the step carries rho, which keeps
+    the mass exact, rather than recomputing it.  At every snapshot and every
+    ``BLOWUP_CHECK_EVERY`` steps, the mass must be within ``MASS_DRIFT_MAX``
+    of the initial one, relative to the initial mass of |rho|, and at
+    snapshots f must also be finite; otherwise the run has blown up
+    (typically dt beyond the stability limit) and SolverError names the
+    step and time.
     """
     n_steps = require_count("n_steps", n_steps, 0)
     snapshot_steps = {require_count("snapshot step", s, 0) for s in snapshot_steps} | {n_steps}
@@ -513,6 +502,12 @@ def run(
         raise ConfigurationError(
             f"grid has N = {grid.half_count} but the operator was built on "
             f"N = {op.grid.half_count}"
+        )
+    f_shape, rho_shape = np.shape(state.f), np.shape(state.rho)
+    if len(f_shape) != 2 or f_shape[1] != op.size or rho_shape != f_shape[:1]:
+        raise ConfigurationError(
+            f"state.f has shape {f_shape} and state.rho {rho_shape}; "
+            f"expected (nx, {op.size}) and (nx,)"
         )
     gap = np.abs(state.f.mean(axis=1) - state.rho)
     cell = int(np.argmax(gap))

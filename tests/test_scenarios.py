@@ -629,6 +629,23 @@ def test_cli_run_names_each_snapshot_by_its_requested_time(tmp_path, capsys):
     assert names == ["found_bgk_t100000.1.csv", "found_bgk_t100000.4.csv"]
 
 
+def test_cli_rejects_a_snapshot_time_of_step_0(tmp_path, capsys):
+    # it printed a t=1e-12 row with the initial mass, wrote no CSV for it
+    # and exited 0
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps({
+        "operator": "bgk", "eta": 10.0, "epsilon": 1.0, "nx": 3, "nv": 2, "dt": 0.2,
+        "t_snapshots": [1e-12, 0.2],
+    }))
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config-error: snapshot time 1e-12 is step 0 at dt = 0.2")
+    assert not out_dir.exists()
+
+
 def test_preset_snapshot_names_are_unchanged(tmp_path):
     scenario = dataclasses.replace(PRESETS["diffusive"], nx=3, nv=2)
     report = run_and_report(scenario, out_dir=tmp_path)

@@ -356,6 +356,57 @@ def test_collision_solve_leaves_its_arguments_alone():
     assert not np.shares_memory(solved, rhs)
 
 
+# the transport preset's coefficients: c = sigma dt / (eps eta) = 1e-7
+TRANSPORT = dict(eta=1.0, epsilon=100.0, dt=1e-5, dx=0.01)
+
+
+@pytest.mark.parametrize("name, nv", [("fp", 100), ("sc", 200)])
+def test_collision_matrix_holds_no_entry_near_zero_at_low_stiffness(name, nv):
+    # at c = 1e-7 the inverse of I - cD decays away from its diagonal down to
+    # subnormal numbers, which slow the product several-fold; the centred
+    # matrix the step multiplies by sits near -1/(2N) there
+    stepper = Stepper(BUILDERS[name](build_grid(nv // 2)), make_params(**TRANSPORT))
+    q = np.abs(stepper._collision_factor.inverse)
+    assert not ((q > 0.0) & (q < 1e-150 * q.max())).any()
+
+
+@pytest.mark.parametrize("stiffness", ["transport", "diffusive"])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_twenty_steps_keep_rho_the_mean_of_f(name, stiffness):
+    # c = 1e-7 and c = 1e3; the centred matrix must not let the mean drift
+    params = make_params(**TRANSPORT) if stiffness == "transport" else make_params(
+        eta=1e-4, epsilon=1e-4, dt=1e-5, dx=0.01
+    )
+    op = BUILDERS[name](build_grid(50))
+    stepper = Stepper(op, params)
+    state = random_state(np.random.default_rng(67), 100, op.size)
+    for _ in range(20):
+        state = stepper.step(state)
+    np.testing.assert_allclose(state.f.mean(axis=1), state.rho, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("nx", [3, 4, 100])
+def test_second_difference_matches_the_roll_form(nx):
+    a = np.random.default_rng(nx).standard_normal(nx)
+    expected = (np.roll(a, -1) - a) - (a - np.roll(a, 1))
+    assert np.array_equal(scheme._second_difference(a, np.empty(nx)), expected)
+
+
+def test_the_matrix_not_the_label_decides_the_bgk_fold():
+    # a BGK label on the sc matrix ran BGK's fold, and drifted from the sc run
+    grid, nx = build_grid(5), 12
+    params = make_params(dx=1.0 / nx)
+    state = normal_state(np.random.default_rng(71), nx, grid.size)
+    for op, label in (
+        (build_scattering(grid), OperatorKind.BGK),
+        (build_bgk(grid), OperatorKind.SCATTERING_PERIODIC),
+    ):
+        expected = run(state, params, op, grid, n_steps=20).final
+        mislabelled = run(state, params, dataclasses.replace(op, kind=label), grid, n_steps=20).final
+        assert np.array_equal(mislabelled.f, expected.f)
+        assert np.array_equal(mislabelled.rho, expected.rho)
+
+
 def _band_and_corner_matrix(n, rng, corners=True):
     """A symmetric tridiagonal matrix, with equal corners when ``corners``."""
     matrix = np.zeros((n, n))
@@ -441,8 +492,11 @@ def test_cyclic_bands_of_a_plain_tridiagonal_matrix(n):
     [("bgk", None), ("fp", "factor_tridiagonal"), ("sc", "factor_cyclic")],
 )
 def test_collision_builder_follows_the_operator_pattern(name, builder, builder_names):
-    stepper = Stepper(BUILDERS[name](build_grid(10)), make_params())
-    assert stepper._collision_factor == builder
+    op = BUILDERS[name](build_grid(10))
+    if builder is None:  # BGK's collision is folded into the assembly
+        assert Stepper(op, make_params())._collision_factor is None
+    else:
+        assert _invert_collision_system(np.eye(op.size) - 0.5 * op.matrix) == builder
 
 
 def test_stepper_rejects_a_dense_operator_that_is_not_negative_semidefinite():
@@ -792,6 +846,20 @@ def test_run_rejects_a_grid_other_than_the_operators():
     state = random_state(np.random.default_rng(41), 5, 4)
     with pytest.raises(ConfigurationError, match="N = 3"):
         run(state, make_params(dx=0.2), op, build_grid(3), n_steps=1)
+
+
+@pytest.mark.parametrize("case", ["velocity-count", "short-rho", "one-dimensional-f"])
+def test_run_rejects_a_state_of_the_wrong_shape(case):
+    # each gave a raw numpy error
+    op, nx = build_bgk(build_grid(2)), 5
+    f, rho = {
+        "velocity-count": (np.ones((nx, 6)), np.ones(nx)),
+        "short-rho": (np.ones((nx, 4)), np.ones(nx - 1)),
+        "one-dimensional-f": (np.ones(4), np.ones(nx)),
+    }[case]
+    with pytest.raises(ConfigurationError) as error:
+        run(KineticState(f, rho, 0.0), make_params(dx=0.2), op, op.grid, n_steps=1)
+    assert str(f.shape) in str(error.value) and str(rho.shape) in str(error.value)
 
 
 # the first three returned steps == -5 or steps is True, or ran without end
