@@ -28,8 +28,15 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import dger
 
-from .errors import ConfigurationError
+from .errors import (
+    MAX_EXACT_COUNT,
+    ConfigurationError,
+    require_choice,
+    require_count,
+    require_positive_finite,
+)
 from .reference import (
     exact_diffusion_density,
     limit_diffusion_step,
@@ -38,18 +45,7 @@ from .reference import (
     upwind_transport_step,
     velocity_profile,
 )
-from .scheme import (
-    MAX_EXACT_COUNT,
-    KineticState,
-    RunResult,
-    SchemeParams,
-    Variant,
-    default_time_step,
-    require_choice,
-    require_count,
-    require_positive_finite,
-    run,
-)
+from .scheme import KineticState, RunResult, SchemeParams, Variant, default_time_step, run
 from .velocity_space import (
     CollisionOperator,
     OperatorKind,
@@ -236,11 +232,13 @@ def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
 
 def initialize_state(scenario: Scenario, grid: VelocityGrid | None = None) -> KineticState:
     """Sample f0 at the cell centres on the given grid: f0 is separable, so f
-    is one outer product of its velocity and space profiles, built
-    velocity-major (Fortran order), the layout ``Stepper`` keeps."""
+    is one outer product of its space and velocity profiles, one BLAS dger into
+    a Fortran-ordered (velocity-major) array, the layout ``Stepper`` keeps."""
     if grid is None:
         grid = build_grid(scenario.nv // 2)
-    f = np.outer(velocity_profile(grid.velocities), space_profile(scenario.x_centers - 0.5)).T
+    space, velocity = space_profile(scenario.x_centers - 0.5), velocity_profile(grid.velocities)
+    f = np.zeros((scenario.nx, grid.size), order="F")
+    f = dger(1.0, space, velocity, a=f, overwrite_a=True)
     rho = f.mean(axis=1)
     return KineticState(f=f, rho=rho, t=0.0)
 

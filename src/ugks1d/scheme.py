@@ -49,16 +49,20 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import time as _time
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 from scipy.linalg.blas import daxpy, dger, dgemm
 
-from .errors import ConfigurationError, SolverError
+from .errors import (
+    ConfigurationError,
+    SolverError,
+    require_choice,
+    require_count,
+    require_positive_finite,
+)
 # conjugate_gradient has no caller here; bench/spans.py wraps it by this name
 from .linalg import (
     conjugate_gradient,
@@ -68,9 +72,6 @@ from .linalg import (
 )
 from .velocity_space import CollisionOperator, VelocityGrid
 
-# the largest count every float holds exactly: dx = 1/nx, the velocities and
-# the step count t/dt are computed in floats
-MAX_EXACT_COUNT = 2**53
 # largest relative mass drift run() accepts; a sound run drifts by round-off
 MASS_DRIFT_MAX = 1e-9
 # run() also checks the mass every this many steps, not only at snapshots.
@@ -80,42 +81,6 @@ MASS_DRIFT_MAX = 1e-9
 BLOWUP_CHECK_EVERY = 2
 # largest entry gap |mean_v f - rho| run() accepts, relative to max(|rho|, |f|)
 RHO_GAP_MAX = 1e-12
-
-
-def require_positive_finite(name: str, value) -> float:
-    """The rule for every physical and mesh parameter: a real number, not a bool
-    or a string, positive and finite (NaN fails value > 0); returned as a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} expects float, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not (number > 0 and math.isfinite(number)):
-        raise ConfigurationError(f"{name} must be positive and finite, got {number}")
-    return number
-
-
-def require_count(name: str, value, low: int) -> int:
-    """The rule for every count: an integer (numpy's pass; a bool or a float,
-    10.0 included, does not) in [low, 2**53]; returned as an int."""
-    try:
-        count = index(None if isinstance(value, bool) else value)
-    except TypeError:
-        raise ConfigurationError(f"{name} expects int, got {value!r}") from None
-    if not low <= count <= MAX_EXACT_COUNT:
-        raise ConfigurationError(f"{name} must be in [{low}, 2**53], got {count}")
-    return count
-
-
-def require_choice(kind: type[enum.Enum], name: str, value) -> enum.Enum:
-    """The rule for every choice field: a member of ``kind`` or its value
-    string, returned as the member."""
-    try:
-        return kind(value)  # a member passes through
-    except ValueError:
-        choices = ", ".join(member.value for member in kind)
-        raise ConfigurationError(f"unknown {name} {value!r}; choose one of {choices}") from None
 
 
 class Variant(enum.Enum):
@@ -509,7 +474,8 @@ def run(
             f"state.f has shape {f_shape} and state.rho {rho_shape}; "
             f"expected (nx, {op.size}) and (nx,)"
         )
-    gap = np.abs(state.f.mean(axis=1) - state.rho)
+    # the velocity mean by one BLAS product: f.mean(axis=1) to round-off, far below the bound
+    gap = np.abs(np.full(op.size, 1.0 / op.size) @ state.f.T - state.rho)
     cell = int(np.argmax(gap))
     worst, tol = float(gap[cell]), RHO_GAP_MAX * np.abs(state.rho).max()
     # non-finite entries are the blow-up check's; max |f| costs a pass over f,

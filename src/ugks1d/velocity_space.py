@@ -22,9 +22,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import lapack
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_count
 
 
 class OperatorKind(enum.Enum):
@@ -59,10 +59,8 @@ class VelocityGrid:
 
 
 def build_grid(half_count: int) -> VelocityGrid:
-    """Symmetric grid of 2N velocities; rejects N < 1."""
-    if half_count < 1:
-        raise ConfigurationError(f"half_count must be >= 1, got {half_count}")
-    return VelocityGrid(half_count)
+    """Symmetric grid of 2N velocities; N is a count (``require_count``) of at least 1."""
+    return VelocityGrid(require_count("half_count", half_count, 1))
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,14 @@ class CollisionOperator:
     lambda_star: float
     u_vector: np.ndarray
 
+    def __post_init__(self):
+        n, shapes = self.grid.size, (np.shape(self.matrix), np.shape(self.u_vector))
+        if shapes != ((n, n), (n,)):
+            raise ConfigurationError(f"matrix and u_vector have shapes {shapes}; "
+                                     f"the grid's 2N = {n} needs ({n}, {n}) and ({n},)")
+        if not (np.isfinite(self.matrix).all() and np.isfinite(self.u_vector).all()):
+            raise ConfigurationError("matrix and u_vector must be finite")
+
     @property
     def size(self) -> int:
         return self.grid.size
@@ -81,7 +87,8 @@ class CollisionOperator:
 def build_bgk(grid: VelocityGrid) -> CollisionOperator:
     """Relaxation toward the velocity average at unit rate: D = P0 - I."""
     n = grid.size
-    matrix = np.full((n, n), 1.0 / n) - np.eye(n)
+    matrix = np.full((n, n), 1.0 / n)
+    matrix.flat[:: n + 1] -= 1.0  # the diagonal, in place
     return CollisionOperator(
         kind=OperatorKind.BGK,
         grid=grid,
@@ -161,20 +168,22 @@ def _solve_mean_zero(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     When D is negative semidefinite with kernel span(1), -D + 11^T/n is
     positive definite and its solution against -phi already has mean zero;
-    the re-centre only removes round-off.  A failed factorization (D not
-    semidefinite) or a residual above 1e-9 |phi| (kernel larger than the
-    constants) raises operator-invalid.
+    the re-centre only removes round-off.  LAPACK ``potrf`` factors it once,
+    in place in a Fortran-ordered array, and ``potrs`` solves twice.  A
+    failed factorization (D not semidefinite) or a residual above
+    1e-9 |phi| (kernel larger than the constants, or D not finite) raises
+    operator-invalid.
     """
     phi = phi - phi.mean()
     n = len(phi)
-    try:
-        factor = cho_factor(np.full((n, n), 1.0 / n) - matrix)
-    except LinAlgError:
-        raise ConfigurationError("operator-invalid: D is not negative semidefinite") from None
-    psi = cho_solve(factor, -phi)
+    system = np.subtract(1.0 / n, matrix, order="F")  # 11^T/n - D
+    factor, info = lapack.dpotrf(system, overwrite_a=True, clean=False)
+    if info > 0:
+        raise ConfigurationError("operator-invalid: D is not negative semidefinite")
+    psi = lapack.dpotrs(factor, -phi)[0]
     # one refinement step: a single solve loses about cond eps of <psi, phi>,
     # which lambda_star = <V,V>/<U,V> carries (1e-12 for sc at n = 400)
-    psi += cho_solve(factor, matrix @ psi - phi)
+    psi += lapack.dpotrs(factor, matrix @ psi - phi)[0]
     psi -= psi.mean()
     residual = np.linalg.norm(matrix @ psi - phi)
     if not residual <= 1e-9 * np.linalg.norm(phi):
@@ -265,11 +274,13 @@ def validate_operator(matrix: np.ndarray) -> ValidationReport:
     irreducible bistochastic matrix for small delta, so no numerical delta
     sweep is needed.
 
-    Failures are report entries, never exceptions.
+    Failures are report entries; a non-square or non-finite matrix raises.
     """
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ConfigurationError(f"expected a square matrix, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ConfigurationError("expected a finite matrix")
     n = d.shape[0]
     ones = np.ones(n)
 

@@ -6,6 +6,7 @@ Each is allowed dense O((2N)^3) linear algebra and shares no code path with
 * the exact free-transport solution (characteristics of eta df/dt + v df/dx = 0),
   with its own copy of the initial datum f0,
 * the grouped eigendecomposition of the collision operator D,
+* the mean-zero solve D psi = phi through scipy's ``cho_factor``/``cho_solve``,
 * the dense interface-value oracle M(t)^{-1} S(t) built from eigenprojectors,
 * the per-interface kinetic and density fluxes the vectorised stepper must match,
   and one whole step built from them.
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from ugks1d.errors import ConfigurationError
 from ugks1d.scheme import (
@@ -113,6 +115,19 @@ def dense_spectral(op: CollisionOperator) -> SpectralDecomposition:
         eigenvalues=np.array([grouped_values[k] for k in order]),
         projectors=np.stack([projectors[k] for k in order]),
     )
+
+
+def cho_solve_mean_zero(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """D psi = phi - mean(phi) with <psi, 1> = 0 by ``cho_factor``/``cho_solve`` on
+    11^T/n - D: the factor, solves, refinement step and re-centre that
+    ``velocity_space._solve_mean_zero`` makes through LAPACK, which must
+    match this bit for bit."""
+    phi = phi - phi.mean()
+    n = len(phi)
+    factor = cho_factor(np.full((n, n), 1.0 / n) - matrix)
+    psi = cho_solve(factor, -phi)
+    psi += cho_solve(factor, matrix @ psi - phi)
+    return psi - psi.mean()
 
 
 def _relaxation_exponent(t_rel: float, params: SchemeParams, lambda_star: float) -> float:

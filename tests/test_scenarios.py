@@ -14,7 +14,7 @@ import pytest
 from oracles import f0
 from ugks1d.cli import build_parser, main
 from ugks1d.errors import ConfigurationError, SolverError
-from ugks1d.reference import AMPLITUDE
+from ugks1d.reference import AMPLITUDE, space_profile, velocity_profile
 from ugks1d.scenarios import (
     PRESETS,
     Reference,
@@ -238,6 +238,9 @@ def test_initialize_state_samples_f0_velocity_major(nx, nv):
     x = (np.arange(nx) + 0.5) * scenario.dx
     expected = f0(x[:, None], grid.velocities[None, :])
     np.testing.assert_allclose(state.f, expected, rtol=1e-14, atol=0)
+    # the rank-one update makes the same products as the outer product
+    outer = np.outer(velocity_profile(grid.velocities), space_profile(x - 0.5)).T
+    np.testing.assert_array_equal(state.f, outer, strict=True)
     assert state.f.flags.f_contiguous
     np.testing.assert_array_equal(state.rho, state.f.mean(axis=1))
 

@@ -1,12 +1,16 @@
 """Grid construction, the three collision operators, and their diagnostics."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from oracles import cho_solve_mean_zero
+from ugks1d import errors, scenarios, scheme
 from ugks1d.errors import ConfigurationError
 from ugks1d.velocity_space import (
+    CollisionOperator,
     OperatorKind,
     build_bgk,
     build_fokker_planck,
@@ -42,6 +46,27 @@ def test_grid_rejects_empty():
         build_grid(0)
 
 
+@pytest.mark.parametrize("half_count", [2.5, 2.0, True, "2", None])
+def test_grid_takes_its_half_count_by_the_count_rule(half_count):
+    # 2.5 gave a five-velocity grid holding v = 0, and True a grid of two
+    with pytest.raises(ConfigurationError, match="half_count expects int"):
+        build_grid(half_count)
+
+
+def test_grid_half_count_is_an_int():
+    grid = build_grid(np.int64(3))
+    assert type(grid.half_count) is int and grid == build_grid(3)
+    with pytest.raises(ConfigurationError, match=r"half_count must be in \[1, 2\*\*53\], got 0"):
+        build_grid(0)
+
+
+def test_the_argument_rules_live_below_every_module():
+    for name in ("require_count", "require_positive_finite", "require_choice"):
+        assert getattr(scheme, name) is getattr(errors, name)
+        assert getattr(scenarios, name) is getattr(errors, name)
+    assert errors.MAX_EXACT_COUNT == 2**53
+
+
 def test_grid_is_its_half_count():
     assert [f.name for f in dataclasses.fields(build_grid(3))] == ["half_count"]
     assert build_grid(3) == build_grid(3)
@@ -50,6 +75,36 @@ def test_grid_is_its_half_count():
     grid = build_grid(3)
     assert grid.velocities is grid.velocities  # computed once
     assert not grid.velocities.flags.writeable
+
+
+@pytest.mark.parametrize("half", [1, 50, 100])
+def test_bgk_matrix_is_p0_minus_the_identity_bitwise(half):
+    n = 2 * half
+    np.testing.assert_array_equal(build_bgk(build_grid(half)).matrix,
+                                  np.full((n, n), 1.0 / n) - np.eye(n), strict=True)
+
+
+def _operator(grid, matrix, u_vector):
+    return CollisionOperator(OperatorKind.SCATTERING_PERIODIC, grid, matrix, -1.0, u_vector)
+
+
+@pytest.mark.parametrize("matrix_shape, u_shape", [((4, 4), (4,)), ((6, 6), (4,)), ((6,), (6,)),
+                                                   ((6, 6), (6, 1))])
+def test_collision_operator_checks_its_shapes(matrix_shape, u_shape):
+    # a 4 x 4 matrix gave IndexError in Stepper, a (4,) u_vector ValueError
+    grid = build_grid(3)
+    with pytest.raises(ConfigurationError, match=re.escape(f"shapes ({matrix_shape}, {u_shape})")):
+        _operator(grid, np.zeros(matrix_shape), np.zeros(u_shape))
+
+
+@pytest.mark.parametrize("where", ["matrix", "u_vector"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_collision_operator_checks_that_it_is_finite(where, value):
+    op = build_scattering(build_grid(3))
+    arrays = {"matrix": op.matrix.copy(), "u_vector": op.u_vector.copy()}
+    arrays[where].flat[3] = value
+    with pytest.raises(ConfigurationError, match="matrix and u_vector must be finite"):
+        _operator(op.grid, arrays["matrix"], arrays["u_vector"])
 
 
 def test_bgk_smallest_grid_matrix():
@@ -236,6 +291,37 @@ def test_u_solve_fails_on_disconnected_operator():
     message = "operator-invalid: the kernel of D is larger"
     with pytest.raises(ConfigurationError, match=message):
         compute_u_and_lambda(matrix, build_grid(2).velocities)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (9, 9)])
+def test_u_solve_rejects_a_non_finite_matrix(where, value):
+    # potrf and potrs do not scan for non-finite entries; the failed
+    # factorization or the residual check rejects them
+    op = build_scattering(build_grid(5))
+    matrix = op.matrix.copy()
+    matrix[where] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError, match="operator-invalid"):
+        compute_u_and_lambda(matrix, op.grid.velocities)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validation_rejects_a_non_finite_matrix(value):
+    matrix = build_fokker_planck(build_grid(2)).matrix.copy()
+    matrix[1, 2] = value
+    with pytest.raises(ConfigurationError, match="finite"):
+        validate_operator(matrix)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("n", [8, 100, 400])
+def test_mean_zero_solve_matches_cho_solve_bitwise(name, n):
+    op = BUILDERS[name](build_grid(n // 2))
+    rng = np.random.default_rng(n)
+    for phi in (op.grid.velocities, rng.standard_normal(n)):
+        np.testing.assert_array_equal(
+            _solve_mean_zero(op.matrix, phi), cho_solve_mean_zero(op.matrix, phi), strict=True
+        )
 
 
 def test_solve_rejects_a_positive_mean_zero_mode():
