@@ -6,13 +6,14 @@ builder takes the dense matrix and calls LAPACK: ``factor_tridiagonal``
 applies ``gtsv`` to the identity, ``factor_cyclic`` adds a
 Sherman-Morrison rank-one correction for the periodic corners, and
 ``factor_positive_definite`` inverts any other symmetric positive definite
-matrix by Cholesky (``potrf``, ``potri``).  The inverse holds n^2 numbers,
-so the factors are meant for velocity-sized systems (n = 2N, up to a few
-hundred) that are solved against one right-hand side per cell at every
-step.  The periodic macro system of the implicit-diffusion variant is
-circulant and is solved by FFT in ``scheme.Stepper``, not here.
-``conjugate_gradient`` solves with a map alone; nothing in the package
-calls it.
+matrix by Cholesky (``potrf``, ``potri``).  ``scheme`` picks the builder
+for a matrix and checks that it is symmetric; the builders check neither.
+The inverse holds n^2 numbers, so the factors are meant for velocity-sized
+systems (n = 2N, up to a few hundred) that are solved against one
+right-hand side per cell at every step.  The periodic macro system of the
+implicit-diffusion variant is circulant and is solved by FFT in
+``scheme.Stepper``, not here.  ``conjugate_gradient`` solves with a map
+alone; nothing in the package calls it.
 
 All routines are pure functions, so identical inputs give bitwise-identical
 outputs on one machine.
@@ -26,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ConfigurationError, SolverError
+from .errors import SolverError
 
 
 class CGSolution(NamedTuple):
@@ -111,24 +112,15 @@ class TridiagonalFactor:
 
 def _tridiagonal_inverse(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """The inverse, from LAPACK ``gtsv`` (partial pivoting) applied to the identity."""
-    n = len(diag)
-    if n == 1:
-        # the gtsv wrapper rejects empty off-diagonal bands
-        return np.array([[1.0 / diag[0]]])
-    *_, inverse, info = lapack.dgtsv(sub, diag, sup, np.eye(n, order="F"), overwrite_b=True)
+    *_, inverse, info = lapack.dgtsv(sub, diag, sup, np.eye(len(diag), order="F"), overwrite_b=True)
     if info > 0:
         raise SolverError(f"singular tridiagonal matrix: zero pivot in row {info - 1}")
     return inverse
 
 
 def factor_tridiagonal(matrix: np.ndarray) -> TridiagonalFactor:
-    """Invert a tridiagonal matrix from its three bands; raises SolverError
-    naming the row of a zero pivot."""
-    n = matrix.shape[0]
-    if n >= 3 and (matrix[0, n - 1] != 0.0 or matrix[n - 1, 0] != 0.0):
-        raise ConfigurationError(
-            "factor_tridiagonal handles non-cyclic systems; use factor_cyclic"
-        )
+    """Invert a tridiagonal matrix (n >= 2), reading only its three bands;
+    raises SolverError naming the row of a zero pivot."""
     return TridiagonalFactor(
         _tridiagonal_inverse(np.diagonal(matrix, -1), np.diagonal(matrix), np.diagonal(matrix, 1))
     )
@@ -148,12 +140,8 @@ class CyclicTridiagonalFactor(TridiagonalFactor):
 
 def factor_cyclic(matrix: np.ndarray) -> CyclicTridiagonalFactor:
     """Invert a tridiagonal matrix plus its corners (0, n-1) and (n-1, 0),
-    reading only those entries."""
+    n >= 3, reading only those entries."""
     n = matrix.shape[0]
-    if n < 3:
-        raise ConfigurationError(
-            "cyclic corners need n >= 3 so they stay off the tridiagonal band"
-        )
     alpha = matrix[n - 1, 0]
     beta = matrix[0, n - 1]
     diag = np.diagonal(matrix).copy()
@@ -174,10 +162,8 @@ def factor_cyclic(matrix: np.ndarray) -> CyclicTridiagonalFactor:
 
 def factor_positive_definite(matrix: np.ndarray) -> TridiagonalFactor:
     """Invert a symmetric positive definite matrix by LAPACK Cholesky
-    (``potrf``, then ``potri``); raises SolverError when the matrix is not
-    exactly symmetric or not positive definite."""
-    if not np.array_equal(matrix, matrix.T):
-        raise SolverError("matrix is not symmetric")
+    (``potrf``, then ``potri``), reading only its upper triangle; raises
+    SolverError when the matrix is not positive definite."""
     factor, info = lapack.dpotrf(matrix)
     if info == 0:
         factor, info = lapack.dpotri(factor)

@@ -230,12 +230,10 @@ def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
     return build_scattering(grid)
 
 
-def initialize_state(scenario: Scenario, grid: VelocityGrid | None = None) -> KineticState:
+def initialize_state(scenario: Scenario, grid: VelocityGrid) -> KineticState:
     """Sample f0 at the cell centres on the given grid: f0 is separable, so f
     is one outer product of its space and velocity profiles, one BLAS dger into
     a Fortran-ordered (velocity-major) array, the layout ``Stepper`` keeps."""
-    if grid is None:
-        grid = build_grid(scenario.nv // 2)
     space, velocity = space_profile(scenario.x_centers - 0.5), velocity_profile(grid.velocities)
     f = np.zeros((scenario.nx, grid.size), order="F")
     f = dger(1.0, space, velocity, a=f, overwrite_a=True)
@@ -260,10 +258,6 @@ class ScenarioRun:
     operator: CollisionOperator
     params: SchemeParams
     result: RunResult
-
-    @property
-    def x_centers(self) -> np.ndarray:
-        return self.scenario.x_centers
 
 
 def run_scenario(scenario: Scenario) -> ScenarioRun:
@@ -353,7 +347,7 @@ def _reference_curves(run_: ScenarioRun) -> dict[int, np.ndarray]:
     """Reference density per snapshot index, for the scenario's reference."""
     scenario = run_.scenario
     op = run_.operator
-    x = run_.x_centers
+    x = scenario.x_centers
     refs: dict[int, np.ndarray] = {}
     snapshots = run_.result.snapshots
     if scenario.reference is Reference.TRANSPORT:
@@ -387,7 +381,7 @@ def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> Err
     """Run a scenario, write one CSV per snapshot, and collect error norms."""
     run_ = run_scenario(scenario)
     refs = _reference_curves(run_)
-    x = run_.x_centers
+    x = scenario.x_centers
     requested = scenario.snapshot_steps
     rows: list[SnapshotReport] = []
     files: list[Path] = []

@@ -197,8 +197,9 @@ def default_time_step(dx: float, eta: float) -> float:
 def _invert_collision_system(system: np.ndarray):
     """Invert I - cD by the builder its nonzero pattern allows: tridiagonal,
     tridiagonal plus the corners (0, n-1) and (n-1, 0), or anything else by
-    Cholesky.  D must be symmetric, so that D 1 = 0 gives 1^T D = 0, as the
-    fluctuation solve assumes; Cholesky also needs it negative semidefinite."""
+    Cholesky.  Here alone D is checked symmetric, whatever its pattern, so that
+    D 1 = 0 gives 1^T D = 0, as the fluctuation solve assumes; Cholesky also
+    needs it negative semidefinite."""
     n = system.shape[0]
     on_band = sum(np.count_nonzero(np.diagonal(system, k)) for k in (-1, 0, 1))
     off_band = np.count_nonzero(system) - on_band
@@ -207,8 +208,10 @@ def _invert_collision_system(system: np.ndarray):
     if off_band in (0, corners):  # O(n): compare the two bands and the two corners
         bands_equal = np.array_equal(np.diagonal(system, -1), np.diagonal(system, 1))
         if not (bands_equal and system[0, n - 1] == system[n - 1, 0]):
-            raise ConfigurationError("operator-invalid: D is not symmetric: its bands differ")
+            raise ConfigurationError("operator-invalid: D is not symmetric")
         return factor_cyclic(system) if off_band else factor_tridiagonal(system)
+    if not np.array_equal(system, system.T):
+        raise ConfigurationError("operator-invalid: D is not symmetric")
     try:
         return factor_positive_definite(system)
     except SolverError as exc:
@@ -232,9 +235,9 @@ class Stepper:
     Built from the operator and the parameters alone: the flux
     coefficients, the rows of the flux difference and, for every operator
     but BGK, ``_collide``'s centred inverse of I - cD, whose builder is
-    chosen by the nonzero pattern of I - cD; a dense D that is not negative
-    semidefinite fails here, with operator-invalid.  The matrix, not the
-    label, decides which operator is BGK: exactly ``build_bgk``'s P0 - I.
+    chosen by the nonzero pattern of I - cD; a D that is not symmetric, or
+    dense and not negative semidefinite, fails here, with operator-invalid.
+    The operator is BGK when its matrix is exactly ``build_bgk``'s P0 - I.
     The upwind scale array and the eigenvalues of the implicit-diffusion
     macro system depend on the cell count, so they are computed on the
     first step with each cell count and kept.  The variant is
@@ -287,11 +290,11 @@ class Stepper:
         # the edge density and the edge current across each cell
         self._jump_rows = np.stack((mean_row, v / n))
         self._ones = np.ones(n)
-        self.c = params.stiffness
+        c = params.stiffness
         # build_bgk's P0 - I: 1/n - 1 on the diagonal and 1/n elsewhere
-        bgk = op.matrix.shape == (n, n) and bool((op.matrix.diagonal() == 1.0 / n - 1.0).all())
+        bgk = bool((op.matrix.diagonal() == 1.0 / n - 1.0).all())
         bgk = bgk and np.count_nonzero(op.matrix == 1.0 / n) == n * n - n
-        self.k = 1.0 / (1.0 + self.c) if bgk else 1.0
+        self.k = 1.0 / (1.0 + c) if bgk else 1.0
         # the rows of the flux difference, each times -k dt/dx: a V for the
         # upwind difference, then c V, ones for beta and d lambda* U V / dx for
         # the second difference of rho; in Fortran order so that dgemm reads
@@ -307,8 +310,8 @@ class Stepper:
         if bgk:
             rows[2] -= mean_row @ rows[2]
         self.rows = rows
-        self.vv_mean = float(v @ v) / n
-        self.macro_mu = params.dt * self.vv_mean * self.coeffs.d_coef / params.dx**2
+        vv_mean = float(v @ v) / n
+        self.macro_mu = params.dt * vv_mean * self.coeffs.d_coef / params.dx**2
         # the density update's weights of the current jump and the second difference
         self._macro_row = np.array([params.dt * self.coeffs.a_coef / params.dx, self.macro_mu])
         # per cell count: the upwind scale as a (2N, nx) array, and the
@@ -318,7 +321,7 @@ class Stepper:
         self._collision_factor = None
         if not bgk:
             # I - cD in one fresh array (np.eye(n) - cD costs 8x as much at n = 800)
-            system = -self.c * op.matrix
+            system = -c * op.matrix
             system[np.arange(n), np.arange(n)] += 1.0
             factor = _invert_collision_system(system)
             # Q = inverse - 1 (column means of the inverse), in place: the

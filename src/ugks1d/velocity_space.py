@@ -65,7 +65,6 @@ def build_grid(half_count: int) -> VelocityGrid:
 
 @dataclass(frozen=True)
 class CollisionOperator:
-    kind: OperatorKind
     grid: VelocityGrid
     matrix: np.ndarray
     lambda_star: float
@@ -90,7 +89,6 @@ def build_bgk(grid: VelocityGrid) -> CollisionOperator:
     matrix = np.full((n, n), 1.0 / n)
     matrix.flat[:: n + 1] -= 1.0  # the diagonal, in place
     return CollisionOperator(
-        kind=OperatorKind.BGK,
         grid=grid,
         matrix=_read_only(matrix),
         lambda_star=-1.0,
@@ -121,7 +119,6 @@ def build_fokker_planck(grid: VelocityGrid) -> CollisionOperator:
     matrix[idx, idx + 1] = weights[1:n]
     matrix[np.arange(n), np.arange(n)] = -(weights[:n] + weights[1:])
     return CollisionOperator(
-        kind=OperatorKind.FOKKER_PLANCK,
         grid=grid,
         matrix=_read_only(matrix),
         lambda_star=-2.0,
@@ -155,7 +152,6 @@ def build_scattering(grid: VelocityGrid) -> CollisionOperator:
     matrix[n - 1, 0] = c
     u_vector, lambda_star = compute_u_and_lambda(matrix, grid.velocities)
     return CollisionOperator(
-        kind=OperatorKind.SCATTERING_PERIODIC,
         grid=grid,
         matrix=_read_only(matrix),
         lambda_star=lambda_star,
@@ -171,8 +167,7 @@ def _solve_mean_zero(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     the re-centre only removes round-off.  LAPACK ``potrf`` factors it once,
     in place in a Fortran-ordered array, and ``potrs`` solves twice.  A
     failed factorization (D not semidefinite) or a residual above
-    1e-9 |phi| (kernel larger than the constants, or D not finite) raises
-    operator-invalid.
+    1e-9 |phi| (kernel larger than the constants) raises operator-invalid.
     """
     phi = phi - phi.mean()
     n = len(phi)
@@ -212,10 +207,12 @@ def compute_u_and_lambda(matrix: np.ndarray, velocities: np.ndarray) -> tuple[np
     Raises
     ------
     ConfigurationError
-        "operator-invalid: ..." when D is not negative semidefinite, when
-        its kernel is larger than the constants (V not in the range of D),
-        or when lambda_star is not negative.
+        "operator-invalid: ..." when D is not finite, when it is not
+        negative semidefinite, when its kernel is larger than the constants
+        (V not in the range of D), or when lambda_star is not negative.
     """
+    if not np.isfinite(matrix).all():
+        raise ConfigurationError("operator-invalid: D must be finite")
     v = np.asarray(velocities, dtype=float)
     u = _solve_mean_zero(matrix, v)
     lambda_star = float((v @ v) / (u @ v))

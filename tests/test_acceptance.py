@@ -198,7 +198,7 @@ def test_criterion_08_diffusive_regime_accuracy(capsys, preset_runs):
         run_ = preset_runs["diffusive", kind]
         snap = snap_at(run_, 0.1)
         kappa = 1.0 / (3.0 * run_.scenario.sigma * abs(run_.operator.lambda_star))
-        ref = reference.exact_diffusion_density(snap.time, run_.x_centers, kappa)
+        ref = reference.exact_diffusion_density(snap.time, run_.scenario.x_centers, kappa)
         rel = float(np.sqrt(np.mean((snap.rho - ref) ** 2) / np.mean(ref**2)))
         details.append(f"{kind} {100 * rel:.3f}%")
         worst = max(worst, rel)

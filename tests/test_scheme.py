@@ -30,7 +30,6 @@ from ugks1d.scheme import (
 )
 from ugks1d.velocity_space import (
     CollisionOperator,
-    OperatorKind,
     build_bgk,
     build_fokker_planck,
     build_grid,
@@ -267,7 +266,7 @@ def test_collision_solve_matches_dense_reference(name):
     rng = np.random.default_rng(19)
     rhs = 1.0 + rng.random((6, 8))
     rho_new = rhs.mean(axis=1)
-    system = np.eye(8) - ws.c * op.matrix
+    system = np.eye(8) - params.stiffness * op.matrix
     expected = np.linalg.solve(system, rhs.T).T
     solved = solve_collision(ws, rhs, rho_new)
     np.testing.assert_allclose(solved, expected, rtol=1e-10, atol=1e-12)
@@ -294,13 +293,7 @@ def dense_operator(grid):
     collision system is inverted by Cholesky."""
     matrix = 0.5 * (build_scattering(grid).matrix + build_bgk(grid).matrix)
     u, lam = compute_u_and_lambda(matrix, grid.velocities)
-    return CollisionOperator(
-        kind=OperatorKind.SCATTERING_PERIODIC,
-        grid=grid,
-        matrix=matrix,
-        lambda_star=lam,
-        u_vector=u,
-    )
+    return CollisionOperator(grid=grid, matrix=matrix, lambda_star=lam, u_vector=u)
 
 
 def test_collision_solve_dense_operator_uses_a_dense_inverse():
@@ -312,7 +305,7 @@ def test_collision_solve_dense_operator_uses_a_dense_inverse():
     rng = np.random.default_rng(23)
     rhs = 1.0 + rng.random((5, 8))
     rho_new = rhs.mean(axis=1)
-    expected = np.linalg.solve(np.eye(8) - ws.c * op.matrix, rhs.T).T
+    expected = np.linalg.solve(np.eye(8) - params.stiffness * op.matrix, rhs.T).T
     np.testing.assert_allclose(solve_collision(ws, rhs, rho_new), expected, rtol=1e-9, atol=1e-11)
 
 
@@ -340,7 +333,8 @@ def test_collision_inverse_matches_dense_solve_under_extreme_stiffness(name, nv)
     # F itself rounds the constant component through a matrix with entries
     # of order c nv^2, which moves the mean of F by 2e-10 at nv = 400
     fluctuation = rhs - rho_new[:, None]
-    expected = rho_new[:, None] + np.linalg.solve(np.eye(nv) - ws.c * op.matrix, fluctuation.T).T
+    system = np.eye(nv) - params.stiffness * op.matrix
+    expected = rho_new[:, None] + np.linalg.solve(system, fluctuation.T).T
     np.testing.assert_allclose(solve_collision(ws, rhs, rho_new), expected, rtol=1e-10)
 
 
@@ -392,21 +386,6 @@ def test_second_difference_matches_the_roll_form(nx):
     assert np.array_equal(scheme._second_difference(a, np.empty(nx)), expected)
 
 
-def test_the_matrix_not_the_label_decides_the_bgk_fold():
-    # a BGK label on the sc matrix ran BGK's fold, and drifted from the sc run
-    grid, nx = build_grid(5), 12
-    params = make_params(dx=1.0 / nx)
-    state = normal_state(np.random.default_rng(71), nx, grid.size)
-    for op, label in (
-        (build_scattering(grid), OperatorKind.BGK),
-        (build_bgk(grid), OperatorKind.SCATTERING_PERIODIC),
-    ):
-        expected = run(state, params, op, grid, n_steps=20).final
-        mislabelled = run(state, params, dataclasses.replace(op, kind=label), grid, n_steps=20).final
-        assert np.array_equal(mislabelled.f, expected.f)
-        assert np.array_equal(mislabelled.rho, expected.rho)
-
-
 def _band_and_corner_matrix(n, rng, corners=True):
     """A symmetric tridiagonal matrix, with equal corners when ``corners``."""
     matrix = np.zeros((n, n))
@@ -442,6 +421,10 @@ def test_cyclic_bands_reject_any_off_band_entry(n, builder_names):
         for i, j in off_band:
             stray = matrix.copy()
             stray[i, j] = 1e-300
+            # one-sided, the stray makes the dense pattern asymmetric
+            with pytest.raises(ConfigurationError, match="operator-invalid: D is not symmetric"):
+                _invert_collision_system(stray)
+            stray[j, i] = 1e-300
             assert _invert_collision_system(stray) == "factor_positive_definite"
 
 
@@ -503,7 +486,6 @@ def test_stepper_rejects_a_dense_operator_that_is_not_negative_semidefinite():
     grid = build_grid(4)
     # -D is positive semidefinite; at c = 10 I + 10 D is indefinite
     op = CollisionOperator(
-        kind=OperatorKind.SCATTERING_PERIODIC,
         grid=grid,
         matrix=-dense_operator(grid).matrix,
         lambda_star=-1.0,
@@ -511,6 +493,15 @@ def test_stepper_rejects_a_dense_operator_that_is_not_negative_semidefinite():
     )
     with pytest.raises(ConfigurationError, match="operator-invalid: D is not symmetric negative"):
         Stepper(op, make_params(dt=1e-1))
+
+
+def test_stepper_rejects_an_asymmetric_dense_operator():
+    op = dense_operator(build_grid(4))
+    matrix = op.matrix.copy()
+    matrix[1, 3] *= 1.5
+    asymmetric = dataclasses.replace(op, matrix=matrix)
+    with pytest.raises(ConfigurationError, match="operator-invalid: D is not symmetric$"):
+        Stepper(asymmetric, make_params())
 
 
 @pytest.mark.parametrize("nx", [3, 4, 7, 100])

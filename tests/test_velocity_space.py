@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_bgk_matrix_is_p0_minus_the_identity_bitwise(half):
 
 
 def _operator(grid, matrix, u_vector):
-    return CollisionOperator(OperatorKind.SCATTERING_PERIODIC, grid, matrix, -1.0, u_vector)
+    return CollisionOperator(grid, matrix, -1.0, u_vector)
 
 
 @pytest.mark.parametrize("matrix_shape, u_shape", [((4, 4), (4,)), ((6, 6), (4,)), ((6,), (6,)),
@@ -294,15 +295,17 @@ def test_u_solve_fails_on_disconnected_operator():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (9, 9)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (9, 9), (3, 3)])
 def test_u_solve_rejects_a_non_finite_matrix(where, value):
-    # potrf and potrs do not scan for non-finite entries; the failed
-    # factorization or the residual check rejects them
+    # potrf and potrs do not scan for non-finite entries, which would reach
+    # the solve as "not negative semidefinite" or as a NaN residual
     op = build_scattering(build_grid(5))
     matrix = op.matrix.copy()
     matrix[where] = value
-    with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError, match="operator-invalid"):
-        compute_u_and_lambda(matrix, op.grid.velocities)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="^operator-invalid: D must be finite$"):
+            compute_u_and_lambda(matrix, op.grid.velocities)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -385,7 +388,8 @@ def test_operator_kinds_and_sizes():
     grid = build_grid(6)
     for name, builder in BUILDERS.items():
         op = builder(grid)
-        assert op.kind is OperatorKind(name)
+        named = scenarios.build_operator(OperatorKind(name), 12)
+        np.testing.assert_array_equal(op.matrix, named.matrix)
         assert op.size == 12
         assert not op.matrix.flags.writeable
 
