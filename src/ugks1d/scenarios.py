@@ -297,23 +297,23 @@ class SnapshotReport:
 
 @dataclass
 class ErrorReport:
-    scenario: str
-    operator: str
+    """The run ``run_and_report`` made, one row per snapshot and the CSVs it wrote."""
+
+    run: ScenarioRun
     rows: list[SnapshotReport]
-    mass_drift: float
-    seconds_per_step: float
     files: list[Path]
 
     def lines(self) -> list[str]:
-        out = [f"scenario {self.scenario} operator {self.operator}"]
+        scenario, result = self.run.scenario, self.run.result
+        out = [f"scenario {scenario.name} operator {scenario.operator.value}"]
         for row in self.rows:
             piece = f"  t={_time_label(row.time):<8} mass={row.mass:.12e}"
             if row.l1 is not None:
                 piece += f" L1={row.l1:.3e} L2={row.l2:.3e} Linf={row.linf:.3e}"
             out.append(piece)
         out.append(
-            f"  mass drift (relative) = {self.mass_drift:.3e};"
-            f" {self.seconds_per_step * 1e3:.3f} ms/step"
+            f"  mass drift (relative) = {result.mass_drift:.3e};"
+            f" {result.seconds_per_step * 1e3:.3f} ms/step"
         )
         return out
 
@@ -378,7 +378,8 @@ def _reference_curves(run_: ScenarioRun) -> dict[int, np.ndarray]:
 
 
 def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> ErrorReport:
-    """Run a scenario, write one CSV per snapshot, and collect error norms."""
+    """Run a scenario, write one CSV per snapshot, and collect error norms; the
+    report keeps the run, so its final state needs no second run."""
     run_ = run_scenario(scenario)
     refs = _reference_curves(run_)
     x = scenario.x_centers
@@ -402,14 +403,7 @@ def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> Err
             path = directory / name
             write_snapshot_csv(path, x, snap.rho, ref)
             files.append(path)
-    return ErrorReport(
-        scenario=scenario.name,
-        operator=scenario.operator.value,
-        rows=rows,
-        mass_drift=run_.result.mass_drift,
-        seconds_per_step=run_.result.seconds_per_step,
-        files=files,
-    )
+    return ErrorReport(run_, rows, files)
 
 
 @dataclass(frozen=True)

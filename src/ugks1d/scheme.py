@@ -198,8 +198,9 @@ def _invert_collision_system(system: np.ndarray):
     """Invert I - cD by the builder its nonzero pattern allows: tridiagonal,
     tridiagonal plus the corners (0, n-1) and (n-1, 0), or anything else by
     Cholesky.  Here alone D is checked symmetric, whatever its pattern, so that
-    D 1 = 0 gives 1^T D = 0, as the fluctuation solve assumes; Cholesky also
-    needs it negative semidefinite."""
+    D 1 = 0 gives 1^T D = 0, as the fluctuation solve assumes.  Cholesky only
+    needs I - cD positive definite, that is every eigenvalue of D below 1/c,
+    so it passes a D with a positive eigenvalue at a small enough c."""
     n = system.shape[0]
     on_band = sum(np.count_nonzero(np.diagonal(system, k)) for k in (-1, 0, 1))
     off_band = np.count_nonzero(system) - on_band
@@ -236,7 +237,8 @@ class Stepper:
     coefficients, the rows of the flux difference and, for every operator
     but BGK, ``_collide``'s centred inverse of I - cD, whose builder is
     chosen by the nonzero pattern of I - cD; a D that is not symmetric, or
-    dense and not negative semidefinite, fails here, with operator-invalid.
+    dense with an eigenvalue at or above 1/c, fails here, with
+    operator-invalid.  Nothing here checks that D is negative semidefinite.
     The operator is BGK when its matrix is exactly ``build_bgk``'s P0 - I.
     The upwind scale array and the eigenvalues of the implicit-diffusion
     macro system depend on the cell count, so they are computed on the

@@ -170,14 +170,15 @@ def test_value_strings_run_what_they_name():
             by_string = Scenario(operator=kind.value, variant=variant.value,
                                  reference="transport", **common)
             assert by_string == by_member
-            string_run = run_scenario(by_string)
+            string_report, member_report = run_and_report(by_string), run_and_report(by_member)
+            string_run = string_report.run
             named = NAMED_BUILDERS[kind](build_grid(2)).matrix
             assert np.array_equal(string_run.operator.matrix, named)
             assert string_run.params.variant is variant
-            a, b = run_scenario(by_member).result.final, string_run.result.final
+            a, b = member_report.run.result.final, string_run.result.final
             assert a.f.tobytes() == b.f.tobytes() and a.rho.tobytes() == b.rho.tobytes()
-            rows = run_and_report(by_string).rows
-            assert rows == run_and_report(by_member).rows
+            rows = string_report.rows
+            assert rows == member_report.rows
             assert rows[-1].l1 is not None
 
 
@@ -496,6 +497,23 @@ def test_run_and_report_writes_expected_files(tmp_path):
     assert list(data) == ["x", "rho", "rho_ref", "abs_err"]
     assert any("mass drift" in line for line in report.lines())
     assert report.lines()[0] == "scenario demo operator fp"
+
+
+def test_run_and_report_keeps_the_run_it_made():
+    scenario = Scenario(
+        name="kept", operator=OperatorKind.SCATTERING_PERIODIC, eta=1.0, epsilon=1.0,
+        sigma=1.0, nx=10, nv=4, dt=1e-3, t_snapshots=(1e-3, 3e-3),
+        reference=Reference.TRANSPORT,
+    )
+    report = run_and_report(scenario)
+    assert [field.name for field in dataclasses.fields(report)] == ["run", "rows", "files"]
+    assert report.run.scenario is scenario
+    kept, fresh = report.run.result.final, run_scenario(scenario).result.final
+    assert kept.f.tobytes() == fresh.f.tobytes() and kept.rho.tobytes() == fresh.rho.tobytes()
+    snapshots = report.run.result.snapshots
+    assert [row.mass for row in report.rows] == [snap.mass for snap in snapshots]
+    drift = report.run.result.mass_drift
+    assert report.lines()[-1].startswith(f"  mass drift (relative) = {drift:.3e};")
 
 
 def test_run_and_report_without_output_directory():
