@@ -3,14 +3,16 @@
 Subcommands
 -----------
 run                advance a scenario, print error norms, write snapshot CSVs
-validate-operator  structural checks and lambda* of one operator
+validate-operator  the operator contract's checks, irreducibility and lambda*
 lambda-star        pseudo-eigenvalue table across velocity resolutions
 ap-sweep           stability/accuracy sweep across stiffness
 compare-variants   explicit vs implicit-diffusion gap and its dt-refinement ratio
 
 Exit codes: 0 success, 1 internal error, 2 configuration error,
 3 solver failure, 4 I/O failure, 5 validation failed.  Each failure
-prints one "<category>: <message>" line on stderr.
+prints one "<category>: <message>" line on stderr.  An operator meets
+its contract when it is built, so ``validate-operator`` can fail only on
+irreducibility.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    op = build_operator(OperatorKind(args.operator), args.nv)
+    op = build_operator(args.operator, args.nv)
     report = validate_operator(op.matrix)
     for line in report.lines():
         print(line)
@@ -73,7 +75,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_lambda_star(args) -> int:
-    rows = lambda_star_report(OperatorKind(args.operator), args.nv)
+    rows = lambda_star_report(args.operator, args.nv)
     print(f"{'nv':>6} {'lambda_star':>20} {'continuum target':>18}")
     for row in rows:
         print(f"{row.nv:>6} {row.lambda_star:>20.12f} {row.target:>18.6g}")
@@ -82,7 +84,7 @@ def _cmd_lambda_star(args) -> int:
 
 def _cmd_ap_sweep(args) -> int:
     rows = ap_sweep(
-        OperatorKind(args.operator),
+        args.operator,
         args.epsilons,
         branch=args.branch,
         nx=args.nx,

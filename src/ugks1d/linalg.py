@@ -7,7 +7,7 @@ applies ``gtsv`` to the identity, ``factor_cyclic`` adds a
 Sherman-Morrison rank-one correction for the periodic corners, and
 ``factor_positive_definite`` inverts any other symmetric positive definite
 matrix by Cholesky (``potrf``, ``potri``).  ``scheme`` picks the builder
-for a matrix and checks that it is symmetric; the builders check neither.
+by the nonzero pattern; no builder checks symmetry, a record's rule.
 The inverse holds n^2 numbers, so the factors are meant for velocity-sized
 systems (n = 2N, up to a few hundred) that are solved against one
 right-hand side per cell at every step.  The periodic macro system of the

@@ -220,8 +220,8 @@ def load_scenario(source: str | Path) -> Scenario:
 
 
 def build_operator(kind: OperatorKind, nv: int) -> CollisionOperator:
-    if not isinstance(kind, OperatorKind):
-        raise ConfigurationError(f"operator expects an OperatorKind, got {kind!r}")
+    """The named operator on nv velocities; ``kind`` takes a member or its value string."""
+    kind = require_choice(OperatorKind, "operator", kind)
     grid = build_grid(_require_velocity_count(nv) // 2)
     if kind is OperatorKind.BGK:
         return build_bgk(grid)
@@ -422,13 +422,11 @@ _LAMBDA_TARGETS = {
 
 def lambda_star_report(kind: OperatorKind, nv_list) -> list[LambdaStarRow]:
     """lambda_star per velocity resolution with the continuum target; ``kind``
-    takes a member or its value string."""
-    kind = require_choice(OperatorKind, "operator", kind)
-    target = _LAMBDA_TARGETS[kind]
+    takes a member or its value string, as in ``build_operator``."""
     rows = []
     for nv in nv_list:
         op = build_operator(kind, nv)
-        rows.append(LambdaStarRow(op.size, op.lambda_star, target))
+        rows.append(LambdaStarRow(op.size, op.lambda_star, _LAMBDA_TARGETS[OperatorKind(kind)]))
     return rows
 
 

@@ -197,28 +197,17 @@ def default_time_step(dx: float, eta: float) -> float:
 def _invert_collision_system(system: np.ndarray):
     """Invert I - cD by the builder its nonzero pattern allows: tridiagonal,
     tridiagonal plus the corners (0, n-1) and (n-1, 0), or anything else by
-    Cholesky.  Here alone D is checked symmetric, whatever its pattern, so that
-    D 1 = 0 gives 1^T D = 0, as the fluctuation solve assumes.  Cholesky only
-    needs I - cD positive definite, that is every eigenvalue of D below 1/c,
-    so it passes a D with a positive eigenvalue at a small enough c."""
+    Cholesky.  Every record's D meets ``velocity_space.operator_contract``, so
+    I - cD is symmetric and strictly diagonally dominant, hence positive
+    definite, for every c > 0; a LAPACK failure here is a SolverError."""
     n = system.shape[0]
     on_band = sum(np.count_nonzero(np.diagonal(system, k)) for k in (-1, 0, 1))
     off_band = np.count_nonzero(system) - on_band
     # ints, not numpy bools, whose sum is their logical or
     corners = int(system[0, n - 1] != 0.0) + int(system[n - 1, 0] != 0.0) if n >= 3 else 0
-    if off_band in (0, corners):  # O(n): compare the two bands and the two corners
-        bands_equal = np.array_equal(np.diagonal(system, -1), np.diagonal(system, 1))
-        if not (bands_equal and system[0, n - 1] == system[n - 1, 0]):
-            raise ConfigurationError("operator-invalid: D is not symmetric")
-        return factor_cyclic(system) if off_band else factor_tridiagonal(system)
-    if not np.array_equal(system, system.T):
-        raise ConfigurationError("operator-invalid: D is not symmetric")
-    try:
-        return factor_positive_definite(system)
-    except SolverError as exc:
-        raise ConfigurationError(
-            f"operator-invalid: D is not symmetric negative semidefinite; for I - cD, {exc}"
-        ) from None
+    if off_band == 0:
+        return factor_tridiagonal(system)
+    return factor_cyclic(system) if off_band == corners else factor_positive_definite(system)
 
 
 def _second_difference(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -236,10 +225,9 @@ class Stepper:
     Built from the operator and the parameters alone: the flux
     coefficients, the rows of the flux difference and, for every operator
     but BGK, ``_collide``'s centred inverse of I - cD, whose builder is
-    chosen by the nonzero pattern of I - cD; a D that is not symmetric, or
-    dense with an eigenvalue at or above 1/c, fails here, with
-    operator-invalid.  Nothing here checks that D is negative semidefinite.
-    The operator is BGK when its matrix is exactly ``build_bgk``'s P0 - I.
+    chosen by the nonzero pattern of I - cD.  The record has already met
+    ``velocity_space.operator_contract``, so nothing here checks D.  The
+    operator is BGK when its matrix is exactly ``build_bgk``'s P0 - I.
     The upwind scale array and the eigenvalues of the implicit-diffusion
     macro system depend on the cell count, so they are computed on the
     first step with each cell count and kept.  The variant is

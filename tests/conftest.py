@@ -14,15 +14,25 @@ import ugks1d as u
 PRESET_NAMES = ("transport", "intermediate", "diffusive")
 
 
-@pytest.fixture(scope="session")
-def preset_runs():
-    """{(preset, operator-value): ScenarioRun} for all nine combinations."""
+def _preset_runs(variant):
     runs = {}
     for preset in PRESET_NAMES:
         for kind in u.OperatorKind:
-            scenario = dataclasses.replace(u.PRESETS[preset], operator=kind)
+            scenario = dataclasses.replace(u.PRESETS[preset], operator=kind, variant=variant)
             runs[preset, kind.value] = u.run_scenario(scenario)
     return runs
+
+
+@pytest.fixture(scope="session")
+def preset_runs():
+    """{(preset, operator-value): ScenarioRun} for all nine combinations."""
+    return _preset_runs(u.Variant.EXPLICIT_DIFFUSION)
+
+
+@pytest.fixture(scope="session")
+def implicit_preset_runs():
+    """The same nine runs with the implicit-diffusion variant."""
+    return _preset_runs(u.Variant.IMPLICIT_DIFFUSION)
 
 
 @pytest.fixture(scope="session")

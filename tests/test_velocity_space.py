@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cho_solve_mean_zero
 from ugks1d import errors, scenarios, scheme
@@ -185,7 +187,7 @@ def test_operators_pass_structural_validation(name, half):
     op = BUILDERS[name](build_grid(half))
     report = validate_operator(op.matrix)
     assert report.passed, report.lines()
-    assert len(report.lines()) == 6
+    assert len(report.lines()) == 4
     assert all("ok" in line for line in report.lines())
 
 
@@ -200,6 +202,141 @@ def test_u_and_lambda_consistency(name):
     np.testing.assert_allclose(op.matrix @ u, v, atol=1e-9)
 
 
+# ------------------------------------------------------ the operator contract
+
+
+def _sc100_stray():
+    op = build_scattering(build_grid(50))
+    matrix = op.matrix.copy()
+    matrix[3, 7] = 5e-324  # one-sided, off the cyclic pattern
+    return op, {"matrix": matrix}
+
+
+def _sc100_negative_pair():
+    op = build_scattering(build_grid(50))
+    matrix = op.matrix.copy()
+    matrix[3, 7] = matrix[7, 3] = -1e-3  # symmetric, and still negative semidefinite
+    matrix[3, 3] += 1e-3
+    matrix[7, 7] += 1e-3
+    return op, {"matrix": matrix}
+
+
+def _sc100_wrong_lambda():
+    return build_scattering(build_grid(50)), {"lambda_star": -5.0}
+
+
+def _bgk6_positive_mode():
+    # symmetric, rows sum to zero, top eigenvalue 3
+    op = build_bgk(build_grid(3))
+    w = np.zeros(6)
+    w[0], w[1] = 1.0, -1.0
+    return op, {"matrix": op.matrix + 2.0 * np.outer(w, w)}
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize(
+    "case, check",
+    [(_sc100_stray, "symmetric"), (_sc100_negative_pair, "nonnegative_off_diagonal"),
+     (_sc100_wrong_lambda, "lambda_star"), (_bgk6_positive_mode, "nonnegative_off_diagonal")],
+)
+def test_the_record_refuses_what_the_stepper_used_to_judge(case, check, c):
+    # each reached Stepper and was judged by its pattern and by c, or not at
+    # all; the record now refuses it, whatever the stiffness c of the run
+    op, changes = case()
+    params = scheme.SchemeParams(eta=1.0, epsilon=1.0, sigma=1.0, dt=c, dx=0.01)
+    assert params.stiffness == c
+    with pytest.raises(ConfigurationError, match=f"^operator-invalid: {check} fails"):
+        scheme.Stepper(dataclasses.replace(op, **changes), params)
+
+
+def test_each_record_rule_is_checked_at_its_tolerance():
+    op = build_scattering(build_grid(5))
+    matrix = op.matrix.copy()
+    matrix[2, 2] *= 1.0 + 1e-12  # the row sum, 1e-12 |D_22|, is beyond 1e-13
+    failing = {
+        "zero_row_sums": {"matrix": matrix},
+        "d_u_equals_v": {"u_vector": op.u_vector * (1.0 + 1e-8)},
+        "u_mean_zero": {"u_vector": op.u_vector + 1e-9},
+        "lambda_star": {"lambda_star": op.lambda_star * (1.0 + 1e-11)},
+    }
+    for check, changes in failing.items():
+        with pytest.raises(ConfigurationError, match=f"^operator-invalid: {check} fails"):
+            dataclasses.replace(op, **changes)
+    # a pseudo-eigenvalue that agrees with U but is not negative
+    u = op.u_vector
+    with pytest.raises(ConfigurationError, match="^operator-invalid: d_u_equals_v fails"):
+        dataclasses.replace(op, u_vector=-u, lambda_star=-op.lambda_star)
+    # inside every tolerance, the record is made
+    dataclasses.replace(op, u_vector=u + 1e-15)
+    dataclasses.replace(op, lambda_star=op.lambda_star * (1.0 + 1e-13))
+
+
+def test_validation_reports_the_contract_with_its_names_and_magnitudes():
+    op, changes = _sc100_negative_pair()
+    report = validate_operator(changes["matrix"])
+    assert list(report.checks) == [
+        "symmetric", "zero_row_sums", "nonnegative_off_diagonal", "irreducible"
+    ]
+    assert report.checks["symmetric"] and report.checks["zero_row_sums"]
+    assert not report.checks["nonnegative_off_diagonal"]
+    assert report.details["nonnegative_off_diagonal"] == -1e-3
+    op, changes = _sc100_stray()
+    assert validate_operator(changes["matrix"]).details["symmetric"] == 5e-324
+
+
+@st.composite
+def contract_matrices(draw):
+    """D = W - diag(W 1) for random symmetric nonnegative weights W on a
+    connected graph with 2N vertices: a path or cycle in index order (the
+    tridiagonal and cyclic patterns), or a random graph over a random
+    spanning path (dense)."""
+    half = draw(st.integers(1, 20))
+    pattern = draw(st.sampled_from(["tridiagonal", "cyclic", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 2 * half
+    weights = np.zeros((n, n))
+    order = rng.permutation(n) if pattern == "dense" else np.arange(n)
+    pairs = np.sort(np.stack((order[:-1], order[1:])), axis=0)  # above the diagonal
+    weights[pairs[0], pairs[1]] = 0.1 + rng.random(n - 1)
+    if pattern == "cyclic" and n >= 3:
+        weights[0, n - 1] = 0.1 + rng.random()
+    if pattern == "dense":
+        weights += np.where(rng.random((n, n)) < rng.random(), rng.random((n, n)), 0.0)
+    weights = np.triu(weights, 1)
+    weights += weights.T
+    return build_grid(half), weights - np.diag(weights.sum(axis=1)), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(contract_matrices(), st.floats(-8.0, 8.0))
+def test_a_contract_matrix_makes_a_record_and_inverts_at_every_stiffness(case, log_c):
+    # symmetry, zero row sums and nonnegative off-diagonal entries make I - cD
+    # strictly diagonally dominant for every c > 0, so no semidefiniteness
+    # check is needed before it is inverted
+    grid, d, rng = case
+    n = grid.size
+    u, lambda_star = compute_u_and_lambda(d, grid.velocities)
+    op = CollisionOperator(grid, d, lambda_star, u)
+    system = np.eye(n) - 10.0**log_c * op.matrix
+    inverse = scheme._invert_collision_system(system).inverse
+    # the normwise backward error of a computed inverse: the residual itself
+    # grows with the condition number, about c max |D_ii|
+    residual = np.abs(inverse @ system - np.eye(n)).sum(axis=1).max()
+    assert residual <= 1e-12 * np.abs(system).sum(axis=1).max()
+
+    i, j = rng.choice(n, size=2, replace=False)
+    asymmetric, negative, shifted = d.copy(), d.copy(), d.copy()
+    asymmetric[i, j] += 0.5
+    negative[i, j] = negative[j, i] = -0.5  # rows still sum to zero
+    negative[i, i] += d[i, j] + 0.5
+    negative[j, j] += d[i, j] + 0.5
+    shifted[i, i] += 1e-3
+    for check, matrix in (("symmetric", asymmetric), ("nonnegative_off_diagonal", negative),
+                          ("zero_row_sums", shifted)):
+        with pytest.raises(ConfigurationError, match=f"^operator-invalid: {check} fails"):
+            CollisionOperator(grid, matrix, lambda_star, u)
+
+
 def test_validation_flags_asymmetry():
     report = validate_operator(np.array([[-1.0, 1.0], [0.5, -0.5]]))
     assert not report.checks["symmetric"]
@@ -207,10 +344,11 @@ def test_validation_flags_asymmetry():
 
 
 def test_validation_flags_nonzero_row_sums_and_positive_mode():
+    # the shift gives D a positive mode, the constants; the row sums show it
     shifted = build_bgk(build_grid(3)).matrix + 0.1 * np.eye(6)
     report = validate_operator(shifted)
     assert not report.checks["zero_row_sums"]
-    assert not report.checks["negative_semidefinite"]
+    assert report.details["zero_row_sums"] == pytest.approx(0.1)
     assert not report.passed
 
 
@@ -226,8 +364,6 @@ def test_validation_flags_disconnected_blocks():
     matrix[:2, :2] = block
     matrix[2:, 2:] = block
     report = validate_operator(matrix)
-    assert not report.checks["kernel_is_constants"]
-    assert report.details["kernel_is_constants"] == 2.0
     assert not report.checks["irreducible"]
     assert report.checks["symmetric"] and report.checks["zero_row_sums"]
 
@@ -265,8 +401,6 @@ def test_validation_report_lines_follow_the_checks():
         "symmetric",
         "zero_row_sums",
         "nonnegative_off_diagonal",
-        "negative_semidefinite",
-        "kernel_is_constants",
         "irreducible",
     ]
     assert report.lines()[:3] == [
@@ -331,7 +465,8 @@ def test_solve_rejects_a_positive_mean_zero_mode():
     op = build_bgk(build_grid(5))
     w = op.grid.velocities - op.grid.velocities.mean()
     w /= np.linalg.norm(w)
-    message = "operator-invalid: D is not negative semidefinite"
+    # a positive mode needs a negative off-diagonal entry, which the contract names
+    message = "operator-invalid: nonnegative_off_diagonal fails"
     with pytest.raises(ConfigurationError, match=message):
         compute_u_and_lambda(op.matrix + 2.0 * np.outer(w, w), op.grid.velocities)
 

@@ -1,5 +1,5 @@
 """Print a SHA-256 digest of every preset run, to check that a change keeps
-the numbers bitwise.
+the numbers bitwise; with ``--write``, also pin their final densities.
 
 For each preset, operator and stepping variant (3 x 3 x 2 = 18 runs) the
 script runs ``run_and_report`` once, into a temporary directory, and prints
@@ -13,6 +13,14 @@ order whatever the host, and the package is imported from the ``src/`` of
 this checkout.  Run it at two commits and compare the output:
 
     python3 tools/preset_digest.py > digest.txt
+
+``--write`` also writes ``tests/data/preset_rho.json``: each run's final rho
+and ``mass_drift``, and the commit of the ``src/`` that computed them (with
+"-dirty" when ``src/`` differs from it).  A tier-1 test holds every later
+run to it within round-off; a change that moves the numbers on purpose
+rewrites it:
+
+    python3 tools/preset_digest.py --write
 """
 
 from __future__ import annotations
@@ -24,11 +32,15 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import dataclasses
 import hashlib
+import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = ROOT / "tests" / "data" / "preset_rho.json"
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -37,7 +49,8 @@ from ugks1d.scheme import Variant  # noqa: E402
 from ugks1d.velocity_space import OperatorKind  # noqa: E402
 
 
-def run_digest(scenario) -> str:
+def run_digest(scenario):
+    """The run's digest, and its ``RunResult``."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out_dir:
         report = run_and_report(scenario, out_dir)
@@ -50,20 +63,39 @@ def run_digest(scenario) -> str:
     digest.update(repr(result.mass_drift).encode())
     digest.update(np.ascontiguousarray(result.final.f).tobytes())
     digest.update(np.ascontiguousarray(result.final.rho).tobytes())
-    return digest.hexdigest()
+    return digest.hexdigest(), result
 
 
-def main() -> None:
-    lines = []
+def _src_commit() -> str:
+    def git(*args):
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+        return done.stdout.strip()
+
+    dirty = git("status", "--porcelain", "--", "src")
+    return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+
+
+def main(argv: list[str]) -> None:
+    if argv not in ([], ["--write"]):
+        sys.exit("usage: preset_digest.py [--write]")
+    lines, pins = [], {}
     for preset in PRESETS.values():
         for operator in OperatorKind:
             for variant in Variant:
                 scenario = dataclasses.replace(preset, operator=operator, variant=variant)
                 name = f"{preset.name}-{operator.value}-{variant.value}"
-                lines.append(f"{name} {run_digest(scenario)}")
+                digest, result = run_digest(scenario)
+                pins[name] = {"rho": result.final.rho.tolist(), "mass_drift": result.mass_drift}
+                lines.append(f"{name} {digest}")
                 print(lines[-1], flush=True)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+    if argv:
+        # one line per run, so a rewrite diffs run by run
+        runs = ",\n".join(f"  {json.dumps(name)}: {json.dumps(pin)}" for name, pin in pins.items())
+        PINNED.parent.mkdir(exist_ok=True)
+        PINNED.write_text(f'{{"commit": {json.dumps(_src_commit())}, "runs": {{\n{runs}\n}}}}\n')
+        print(f"wrote {PINNED}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
