@@ -22,6 +22,7 @@ import dataclasses
 import enum
 import json
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
@@ -81,8 +82,9 @@ class Scenario:
     ``dt`` (or None) are real numbers, not bools or strings, positive and
     finite; ``nx`` and ``nv`` are integers; ``t_snapshots`` is any sequence of
     increasing positive times, stored as a tuple, the first at least one step
-    and the last at most 2**53 steps; ``name`` is a str.  ``snapshot_steps``
-    turns the times into steps.
+    and the last at most 2**53 steps; ``name`` is a str with no path
+    separator or NUL, since it is one component of every CSV's file name.
+    ``snapshot_steps`` turns the times into steps.
     """
 
     name: str
@@ -101,6 +103,8 @@ class Scenario:
         store = partial(object.__setattr__, self)  # the record is frozen
         if not isinstance(self.name, str):
             raise ConfigurationError(f"name expects str, got {self.name!r}")
+        if any(sep and sep in self.name for sep in ("/", os.sep, os.altsep, "\0")):
+            raise ConfigurationError(f"name must be one file-name component, got {self.name!r}")
         store("operator", require_choice(OperatorKind, "operator", self.operator))
         store("variant", require_choice(Variant, "variant", self.variant))
         if self.reference is not None:
@@ -144,8 +148,8 @@ class Scenario:
     @property
     def snapshot_steps(self) -> dict[int, float]:
         """{step: the first requested time it serves}, in step order; the last
-        step is the run's.  The step for time t is ceil(t/dt - 1e-9), counted
-        from t = 0, where ``initialize_state`` starts every run."""
+        step is the run's.  The step for time t is ceil(t/dt - 1e-9), and
+        ``scheme.run`` puts step k at time k dt."""
         steps: dict[int, float] = {}
         for t in self.t_snapshots:
             steps.setdefault(math.ceil(t / self.resolved_dt - 1e-9), t)
@@ -238,7 +242,7 @@ def initialize_state(scenario: Scenario, grid: VelocityGrid) -> KineticState:
     f = np.zeros((scenario.nx, grid.size), order="F")
     f = dger(1.0, space, velocity, a=f, overwrite_a=True)
     rho = f.mean(axis=1)
-    return KineticState(f=f, rho=rho, t=0.0)
+    return KineticState(f=f, rho=rho)
 
 
 def scheme_params(scenario: Scenario) -> SchemeParams:
@@ -423,11 +427,9 @@ _LAMBDA_TARGETS = {
 def lambda_star_report(kind: OperatorKind, nv_list) -> list[LambdaStarRow]:
     """lambda_star per velocity resolution with the continuum target; ``kind``
     takes a member or its value string, as in ``build_operator``."""
-    rows = []
-    for nv in nv_list:
-        op = build_operator(kind, nv)
-        rows.append(LambdaStarRow(op.size, op.lambda_star, _LAMBDA_TARGETS[OperatorKind(kind)]))
-    return rows
+    kind = require_choice(OperatorKind, "operator", kind)
+    ops = (build_operator(kind, nv) for nv in nv_list)  # one at a time
+    return [LambdaStarRow(op.size, op.lambda_star, _LAMBDA_TARGETS[kind]) for op in ops]
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,11 @@ assemble rhs and the collision costs no pass of its own.  Every other
 operator gets one dense inverse, built and centred once per run and
 applied to every cell as one matrix product (``Stepper._collide``).
 
-``KineticState.f`` has shape (nx, 2N).  The step accepts either memory
-order but works velocity-major, on f.T as one C-contiguous (2N, nx) block,
-and returns f Fortran-ordered, which is that block; so a C-ordered entry
-state is copied once, on a run's first step.
+``KineticState`` holds no time: a run's step k is at time k dt, one
+product, never a sum of dt.  f has shape (nx, 2N).  The step accepts either
+memory order but works velocity-major, on f.T as one C-contiguous (2N, nx)
+block, and returns f Fortran-ordered, which is that block; so a C-ordered
+entry state is copied once, on a run's first step.
 
 The implicit-diffusion variant instead closes the density update on the
 new-time gradient, solving one periodic tridiagonal macro system per
@@ -113,15 +114,13 @@ class SchemeParams:
 
 @dataclass
 class KineticState:
-    """Cell averages: f has shape (nx, 2N), rho shape (nx,).
-
-    f may be in either memory order; ``Stepper.step`` and
+    """Cell averages, f (nx, 2N) and rho (nx,), and no time: ``run`` counts
+    steps.  f may be in either memory order; ``Stepper.step`` and
     ``scenarios.initialize_state`` make it Fortran-ordered (velocity-major).
     """
 
     f: np.ndarray
     rho: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True)
@@ -400,7 +399,7 @@ class Stepper:
         jumps[1] = rho_new - self._jump_rows[0] @ f_new if bgk else -rho_new
         f_new = dgemm(1.0, jumps.T, self.rows, beta=1.0, c=f_new.T, overwrite_c=True).T
         f_new = f_new if bgk else self._collide(f_new, rho_new)
-        return KineticState(f_new.T, rho_new, state.t + p.dt)
+        return KineticState(f_new.T, rho_new)
 
 
 @dataclass(frozen=True)
@@ -442,8 +441,9 @@ def run(
 ) -> RunResult:
     """Advance ``n_steps`` steps, with a snapshot of the state at step 0, at
     every listed step up to ``n_steps`` and at ``n_steps``; listed steps past
-    the last are ignored.  Every count is an integer in [0, 2**53].  Turning
-    times into steps is ``scenarios.Scenario``'s rule, not this one's.
+    the last are ignored.  Every count is an integer in [0, 2**53].  Snapshot
+    k is at time k dt, counted from 0 whatever the entry state; turning times
+    into steps is ``scenarios.Scenario``'s rule, not this one's.
 
     f must have shape (nx, 2N) and rho (nx,).  The entry rho must be the
     velocity mean of f (``RHO_GAP_MAX``): the step carries rho, which keeps
@@ -482,7 +482,7 @@ def run(
     m0 = dx_mass * float(state.rho.sum())
     mass_scale = dx_mass * float(np.abs(state.rho).sum())
     mass_tol = MASS_DRIFT_MAX * mass_scale
-    snapshots = [Snapshot(state.t, 0, state.rho.copy(), m0)]
+    snapshots = [Snapshot(0.0, 0, state.rho.copy(), m0)]
 
     def checked_mass(state: KineticState, step: int, check_f: bool) -> float:
         mass = dx_mass * float(state.rho.sum())
@@ -493,7 +493,7 @@ def run(
                 if finite
                 else "non-finite state"
             )
-            raise SolverError(f"blow-up at step {step}, t = {state.t:.6g}: {what}")
+            raise SolverError(f"blow-up at step {step}, t = {step * params.dt:.6g}: {what}")
         return mass
 
     stepper = Stepper(op, params)
@@ -502,7 +502,7 @@ def run(
         state = stepper.step(state)
         if k in snapshot_steps:
             mass = checked_mass(state, k, check_f=True)
-            snapshots.append(Snapshot(state.t, k, state.rho.copy(), mass))
+            snapshots.append(Snapshot(k * params.dt, k, state.rho.copy(), mass))
         elif k % BLOWUP_CHECK_EVERY == 0:
             checked_mass(state, k, check_f=False)
     elapsed = _time.perf_counter() - started

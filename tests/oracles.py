@@ -366,4 +366,4 @@ def per_interface_step(
     )
     rhs = f - ratio * (phi - np.roll(phi, 1, axis=0))
     system = np.eye(op.size) - params.stiffness * op.matrix
-    return KineticState(np.linalg.solve(system, rhs.T).T, rho_new, state.t + params.dt)
+    return KineticState(np.linalg.solve(system, rhs.T).T, rho_new)

@@ -21,8 +21,8 @@ PINNED = json.loads((Path(__file__).parent / "data" / "preset_rho.json").read_te
 # 1 + 1e-9 moves the diffusive runs by about 3e-11
 RHO_ROUND_OFF = 1e-11
 
-# a 2-step run on a 10 x 4 mesh, twice with bgk and once with sc
-SCRIPT = """
+# loads the tool and makes a 2-step run on a 10 x 4 mesh
+SMALL_RUN = """
 import dataclasses, importlib.util, os, sys
 spec = importlib.util.spec_from_file_location("preset_digest", sys.argv[1])
 tool = importlib.util.module_from_spec(spec)
@@ -31,6 +31,9 @@ assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 from ugks1d.scenarios import Scenario
 small = Scenario(name="digest", operator="bgk", eta=1.0, epsilon=1.0, sigma=1.0, nx=10, nv=4,
                  dt=1e-3, t_snapshots=(1e-3, 2e-3), reference="transport")
+"""
+# twice with bgk and once with sc
+SCRIPT = SMALL_RUN + """
 for scenario in (small, small, dataclasses.replace(small, operator="sc")):
     print(tool.run_digest(scenario)[0])
 """
@@ -45,6 +48,22 @@ def test_digest_is_repeatable_and_tells_operators_apart():
     assert len(first) == 64 and int(first, 16) >= 0
     assert first == second
     assert other != first
+
+
+def test_state_digest_tells_a_state_change_from_a_reference_change():
+    # without its reference the run writes other CSVs and rows, from the same state
+    script = SMALL_RUN + """
+for scenario in (small, dataclasses.replace(small, reference=None)):
+    digest, result = tool.run_digest(scenario)
+    print(digest, tool.state_digest(result))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(TOOL)], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    with_ref, with_ref_state, without, without_state = done.stdout.split()
+    assert with_ref != without
+    assert with_ref_state == without_state
 
 
 @pytest.mark.parametrize("variant", ["explicit", "implicit"])

@@ -14,11 +14,12 @@ import pytest
 from oracles import f0
 from ugks1d.cli import build_parser, main
 from ugks1d.errors import ConfigurationError, SolverError
-from ugks1d.reference import AMPLITUDE, space_profile, velocity_profile
+from ugks1d.reference import AMPLITUDE, exact_diffusion_density, space_profile, velocity_profile
 from ugks1d.scenarios import (
     PRESETS,
     Reference,
     Scenario,
+    _reference_curves,
     ap_sweep,
     build_operator,
     density_norms,
@@ -32,7 +33,7 @@ from ugks1d.scenarios import (
     variant_gap,
     write_snapshot_csv,
 )
-from ugks1d.scheme import Variant
+from ugks1d.scheme import Stepper, Variant
 from ugks1d.velocity_space import (
     OperatorKind,
     build_bgk,
@@ -234,7 +235,6 @@ def test_build_operator_takes_an_integer_count():
 def test_initialize_state_matches_analytic_density():
     scenario = PRESETS["diffusive"]
     state = initialize_state(scenario, build_grid(scenario.nv // 2))
-    assert state.t == 0.0
     assert state.f.shape == (100, 100)
     np.testing.assert_allclose(state.rho, state.f.mean(axis=1), rtol=1e-15)
     x = (np.arange(100) + 0.5) * scenario.dx
@@ -467,7 +467,7 @@ def test_run_scenario_tiny():
     )
     run_ = run_scenario(scenario)
     assert run_.result.steps == 2
-    assert run_.result.final.t == pytest.approx(2e-3)
+    assert run_.result.snapshots[-1].time == 2 * 1e-3
     assert run_.scenario.x_centers.shape == (10,)
     params = scheme_params(scenario)
     assert params.dt == 1e-3 and params.dx == 0.1
@@ -549,8 +549,10 @@ def test_lambda_star_report_rows():
 
 def test_lambda_star_report_takes_the_value_string():
     assert lambda_star_report("fp", [4]) == lambda_star_report(OperatorKind.FOKKER_PLANCK, [4])
-    with pytest.raises(ConfigurationError, match="unknown operator 'xx'"):
-        lambda_star_report("xx", [4])
+    # the kind is checked before the loop: an empty list returned [] for 'xx'
+    for nv_list in ([], [4]):
+        with pytest.raises(ConfigurationError, match="unknown operator 'xx'"):
+            lambda_star_report("xx", nv_list)
 
 
 @pytest.mark.parametrize("nv, text", [(4.7, "4.7"), ("6", "'6'")])
@@ -587,6 +589,21 @@ def test_diffusion_references_scale_kappa_by_eps_over_eta(reference):
     # at eta = eps/10 the scheme diffuses ten times faster than at eta = eps;
     # a reference that leaves out eps/eta reports 1.0e-2 here
     assert _diffusive_linf(1e-5, reference) < 2e-4  # measured 4.2e-5 and 4.5e-5
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_snapshot_and_its_reference_are_at_step_count_times_dt(variant):
+    # 500 steps of 1e-5 summed one by one reach 0.0049999999999999645, where
+    # the heat kernel was taken while the report row read 0.005
+    scenario = dataclasses.replace(
+        PRESETS["diffusive"], nx=20, nv=8, t_snapshots=(500 * 1e-5,), variant=variant
+    )
+    run_ = run_scenario(scenario)
+    last = run_.result.snapshots[-1]
+    assert (last.step, last.time) == (500, 500 * 1e-5)
+    kappa = (scenario.epsilon / scenario.eta) / (3.0 * abs(run_.operator.lambda_star))
+    expected = exact_diffusion_density(500 * 1e-5, scenario.x_centers, kappa)
+    assert np.array_equal(_reference_curves(run_)[1], expected)
 
 
 # --------------------------------------------------------------------- sweeps
@@ -665,6 +682,27 @@ def test_cli_run_names_each_snapshot_by_its_requested_time(tmp_path, capsys):
     assert names == ["found_bgk_t100000.1.csv", "found_bgk_t100000.4.csv"]
 
 
+# the name is one component of each CSV's file name.  The first two ran every
+# step, then failed to write (exit 4) or exited 1 on the NUL; the last exited
+# 0 and wrote its CSV beside --out-dir, not in it
+BAD_NAMES = {"separator": "sub/run", "nul": "a\u0000b", "parent": "../escaped"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NAMES))
+def test_a_name_with_a_separator_or_nul_runs_no_step(tmp_path, capsys, monkeypatch, case):
+    name = BAD_NAMES[case]
+    assert_every_door_rejects(tmp_path, "^name must be one file-name component, got ", name=name)
+    steps = []
+    monkeypatch.setattr(Stepper, "step", lambda self, state: steps.append(state))
+    config = write_config(tmp_path, name=name, t_snapshots=[0.5])
+    code = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out" / "inner")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and steps == []
+    assert captured.err == f"config-error: name must be one file-name component, got {name!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_a_snapshot_time_of_step_0(tmp_path, capsys):
     # it printed a t=1e-12 row with the initial mass, wrote no CSV for it
     # and exited 0
@@ -686,6 +724,10 @@ def test_preset_snapshot_names_are_unchanged(tmp_path):
     scenario = dataclasses.replace(PRESETS["diffusive"], nx=3, nv=2)
     report = run_and_report(scenario, out_dir=tmp_path)
     assert [row.time for row in report.rows] == [0.0, 0.05, 0.075, 0.1]
+    # the snapshots are at step count times dt, 7500 * 1e-5 included
+    assert [snap.time for snap in report.run.result.snapshots] == [
+        0.0, 0.05, 0.07500000000000001, 0.1
+    ]
     assert [path.name for path in report.files] == [
         "diffusive_bgk_t0.05.csv", "diffusive_bgk_t0.075.csv", "diffusive_bgk_t0.1.csv"
     ]

@@ -50,7 +50,7 @@ def make_params(eta=0.1, epsilon=0.1, sigma=1.0, dt=1e-4, dx=0.02, variant=Varia
 
 def random_state(rng, nx, nv, floor=0.05):
     f = floor + rng.random((nx, nv))
-    return KineticState(f=f, rho=f.mean(axis=1), t=0.0)
+    return KineticState(f=f, rho=f.mean(axis=1))
 
 
 # ---------------------------------------------------------------- parameters
@@ -280,7 +280,7 @@ def test_bgk_step_matches_per_interface_fluxes_and_a_dense_solve():
     nx = 6
     params = make_params(eta=0.1, epsilon=0.1, dt=1e-2, dx=1.0 / nx)
     f = 1.0 + np.random.default_rng(19).random((nx, op.size))
-    state = KineticState(f, f.mean(axis=1), 0.0)
+    state = KineticState(f, f.mean(axis=1))
     expected = per_interface_step(op, params, state)
     advanced = Stepper(op, params).step(state)
     np.testing.assert_allclose(advanced.rho, expected.rho, rtol=1e-10, atol=1e-12)
@@ -532,11 +532,10 @@ def test_constant_state_is_a_fixed_point(name, variant):
     params = make_params(variant=variant)
     stepper = Stepper(op, params)
     for value in (1.0, 0.37):
-        state = KineticState(np.full((12, 10), value), np.full(12, value), 0.0)
+        state = KineticState(np.full((12, 10), value), np.full(12, value))
         advanced = stepper.step(state)
         np.testing.assert_allclose(advanced.f, value, rtol=1e-13)
         np.testing.assert_allclose(advanced.rho, value, rtol=1e-13)
-        assert advanced.t == params.dt
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -590,7 +589,7 @@ def step_cases(draw):
 
 def normal_state(rng, nx, nv):
     f = rng.standard_normal((nx, nv))
-    return KineticState(f=f, rho=f.mean(axis=1), t=0.0)
+    return KineticState(f=f, rho=f.mean(axis=1))
 
 
 def assert_states_close(actual, expected, scale):
@@ -607,9 +606,9 @@ def test_step_commutes_with_reflection(case):
     # velocity reversal, so the scheme must too
     stepper, nx, seed = case
     state = normal_state(np.random.default_rng(seed), nx, stepper.op.size)
-    mirrored = KineticState(state.f[::-1, ::-1].copy(), state.rho[::-1].copy(), 0.0)
+    mirrored = KineticState(state.f[::-1, ::-1].copy(), state.rho[::-1].copy())
     advanced = stepper.step(state)
-    expected = KineticState(advanced.f[::-1, ::-1], advanced.rho[::-1], advanced.t)
+    expected = KineticState(advanced.f[::-1, ::-1], advanced.rho[::-1])
     assert_states_close(stepper.step(mirrored), expected, np.abs(advanced.f).max())
 
 
@@ -620,9 +619,9 @@ def test_step_is_linear(case, a, b):
     rng = np.random.default_rng(seed)
     first = normal_state(rng, nx, stepper.op.size)
     second = normal_state(rng, nx, stepper.op.size)
-    combined = KineticState(a * first.f + b * second.f, a * first.rho + b * second.rho, 0.0)
+    combined = KineticState(a * first.f + b * second.f, a * first.rho + b * second.rho)
     out1, out2 = stepper.step(first), stepper.step(second)
-    expected = KineticState(a * out1.f + b * out2.f, a * out1.rho + b * out2.rho, out1.t)
+    expected = KineticState(a * out1.f + b * out2.f, a * out1.rho + b * out2.rho)
     scale = max(np.abs(out1.f).max(), np.abs(out2.f).max())
     assert_states_close(stepper.step(combined), expected, scale)
 
@@ -669,7 +668,7 @@ def test_step_keeps_rho_the_mean_of_f_at_any_stiffness(case, log_c):
 @given(step_cases(), st.floats(-1e3, 1e3))
 def test_constant_states_are_fixed_points(case, value):
     stepper, nx, _ = case
-    state = KineticState(np.full((nx, stepper.op.size), value), np.full(nx, value), 0.0)
+    state = KineticState(np.full((nx, stepper.op.size), value), np.full(nx, value))
     advanced = stepper.step(state)
     np.testing.assert_allclose(advanced.f, value, rtol=1e-13, atol=1e-300)
     np.testing.assert_allclose(advanced.rho, value, rtol=1e-13, atol=1e-300)
@@ -703,7 +702,7 @@ def cell_major_step(stepper, state):
     )
     system = np.eye(n) - p.stiffness * op.matrix
     fluctuation = np.linalg.solve(system, (rhs - rho_new[:, None]).T).T
-    return KineticState(rho_new[:, None] + fluctuation, rho_new, state.t + p.dt)
+    return KineticState(rho_new[:, None] + fluctuation, rho_new)
 
 
 @settings(max_examples=100, deadline=None)
@@ -715,7 +714,7 @@ def test_step_takes_either_memory_order_and_returns_velocity_major(case):
     state = normal_state(np.random.default_rng(seed), nx, stepper.op.size)
     # twice: the second step starts from a state the stepper made
     for _ in range(2):
-        fortran = KineticState(np.asfortranarray(state.f), state.rho.copy(), state.t)
+        fortran = KineticState(np.asfortranarray(state.f), state.rho.copy())
         assert state.f.flags.c_contiguous and fortran.f.flags.f_contiguous
         from_c, from_f = stepper.step(state), stepper.step(fortran)
         assert from_c.f.flags.f_contiguous and from_f.f.flags.f_contiguous
@@ -723,7 +722,7 @@ def test_step_takes_either_memory_order_and_returns_velocity_major(case):
         assert np.array_equal(from_c.rho, from_f.rho)
         expected = cell_major_step(stepper, state)
         assert_states_close(from_c, expected, np.abs(expected.f).max())
-        state = KineticState(np.ascontiguousarray(from_f.f), from_f.rho, from_f.t)
+        state = KineticState(np.ascontiguousarray(from_f.f), from_f.rho)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -798,7 +797,7 @@ def test_stiff_steps_track_limit_diffusion_scheme(name):
     params = make_params(eta=1e-7, epsilon=1e-7, dt=1e-5, dx=1.0 / nx)
     x = (np.arange(nx) + 0.5) / nx
     rho = 1.0 + 0.3 * np.sin(2.0 * np.pi * x)
-    state = KineticState(np.repeat(rho[:, None], 20, axis=1), rho.copy(), 0.0)
+    state = KineticState(np.repeat(rho[:, None], 20, axis=1), rho.copy())
     grid = op.grid
     kappa_d = float(grid.velocities @ grid.velocities) / grid.size / abs(op.lambda_star)
     stepper = Stepper(op, params)
@@ -817,7 +816,7 @@ def test_implicit_variant_stable_beyond_explicit_step_limit():
     )
     x = (np.arange(nx) + 0.5) / nx
     rho = 1.0 + 0.5 * np.sin(2.0 * np.pi * x)
-    state = KineticState(np.repeat(rho[:, None], 20, axis=1), rho.copy(), 0.0)
+    state = KineticState(np.repeat(rho[:, None], 20, axis=1), rho.copy())
     mass0 = state.rho.sum()
     stepper = Stepper(op, params)
     for _ in range(50):
@@ -849,7 +848,7 @@ def test_run_rejects_a_state_of_the_wrong_shape(case):
         "one-dimensional-f": (np.ones(4), np.ones(nx)),
     }[case]
     with pytest.raises(ConfigurationError) as error:
-        run(KineticState(f, rho, 0.0), make_params(dx=0.2), op, op.grid, n_steps=1)
+        run(KineticState(f, rho), make_params(dx=0.2), op, op.grid, n_steps=1)
     assert str(f.shape) in str(error.value) and str(rho.shape) in str(error.value)
 
 
@@ -902,6 +901,8 @@ def test_run_resumes_from_its_own_final_state():
     whole = run(state, params, op, op.grid, n_steps=400)
     np.testing.assert_array_equal(resumed.final.f, whole.final.f)
     np.testing.assert_array_equal(resumed.final.rho, whole.final.rho)
+    # the state holds no time: the resumed run counts its own from 0
+    assert [snap.time for snap in resumed.snapshots] == [0.0, 200 * params.dt]
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -911,7 +912,7 @@ def test_collision_recentre_keeps_rho_the_mean_of_f_over_a_long_run(name):
     op = BUILDERS[name](build_grid(50))
     params = make_params(eta=1e-4, epsilon=1e-4, dt=1e-5, dx=1.0 / 50)
     f = 1.0 + np.random.default_rng(0).random((50, 100))
-    final = run(KineticState(f, f.mean(axis=1), 0.0), params, op, op.grid, n_steps=3000).final
+    final = run(KineticState(f, f.mean(axis=1)), params, op, op.grid, n_steps=3000).final
     assert np.abs(final.f.mean(axis=1) - final.rho).max() <= 4e-15
 
 
@@ -953,7 +954,7 @@ def test_run_step_count_from_t_end():
     assert scenario.snapshot_steps == {5: 0.5}
     result = run_scenario(scenario).result
     assert result.steps == 5
-    np.testing.assert_allclose(result.final.t, 0.5, rtol=1e-12)
+    assert result.snapshots[-1].time == 5 * 0.1
 
 
 def test_run_snapshot_placement():
@@ -965,7 +966,7 @@ def test_run_snapshot_placement():
     times = [snap.time for snap in result.snapshots]
     steps = [snap.step for snap in result.snapshots]
     assert steps == [0, 3, 5]
-    np.testing.assert_allclose(times, [0.0, 0.3, 0.5], atol=1e-12)
+    assert times == [k * params.dt for k in steps]
     # the final state is always snapshotted, once
     result = run(state, params, op, op.grid, n_steps=4)
     assert [snap.step for snap in result.snapshots] == [0, 4]
@@ -1013,12 +1014,12 @@ def test_mass_drift_of_a_mean_zero_density():
     # rows of alternating +-1: rho = 0 in every cell and the mass is zero
     op = build_bgk(build_grid(2))
     f = np.tile([1.0, -1.0, 1.0, -1.0], (5, 1))
-    state = KineticState(f, f.mean(axis=1), 0.0)
+    state = KineticState(f, f.mean(axis=1))
     result = run(state, make_params(dx=0.2), op, op.grid, n_steps=3)
     assert result.mass_drift == 0.0
     # cells of +-1: zero mass, so the drift is relative to the mass of |rho|
     f = np.repeat([[1.0], [-1.0], [1.0], [-1.0], [1.0], [-1.0]], 4, axis=1)
-    state = KineticState(f, f.mean(axis=1), 0.0)
+    state = KineticState(f, f.mean(axis=1))
     result = run(state, make_params(dx=1.0 / 6), op, op.grid, n_steps=3)
     assert result.mass_scale == pytest.approx(1.0)
     assert abs(result.mass_drift) <= 1e-14

@@ -3,10 +3,12 @@ the numbers bitwise; with ``--write``, also pin their final densities.
 
 For each preset, operator and stepping variant (3 x 3 x 2 = 18 runs) the
 script runs ``run_and_report`` once, into a temporary directory, and prints
-one line: the run's name and a SHA-256 over the snapshot CSV bytes, the report
+one line: the run's name, a SHA-256 over the snapshot CSV bytes, the report
 rows, and the ``mass_drift`` and the bytes of the final f and rho of the run
-the report holds.  The ms/step timing is left out.  The last line is a
-SHA-256 over all the lines above it.
+the report holds, and a second SHA-256 over the ``mass_drift``, f and rho
+alone.  A change to the reference columns or the row labels moves only the
+first; a change to what the solver computed moves both.  The ms/step timing
+is left out.  The last line is a SHA-256 over all the lines above it.
 
 BLAS is pinned to one thread before numpy loads, so a product sums in one
 order whatever the host, and the package is imported from the ``src/`` of
@@ -49,6 +51,20 @@ from ugks1d.scheme import Variant  # noqa: E402
 from ugks1d.velocity_space import OperatorKind  # noqa: E402
 
 
+def _final_state(result):
+    """The ``mass_drift`` and the bytes of the final f and rho of a ``RunResult``."""
+    return (
+        repr(result.mass_drift).encode(),
+        np.ascontiguousarray(result.final.f).tobytes(),
+        np.ascontiguousarray(result.final.rho).tobytes(),
+    )
+
+
+def state_digest(result):
+    """SHA-256 over the run's final state alone, without the CSVs and rows."""
+    return hashlib.sha256(b"".join(_final_state(result))).hexdigest()
+
+
 def run_digest(scenario):
     """The run's digest, and its ``RunResult``."""
     digest = hashlib.sha256()
@@ -60,9 +76,8 @@ def run_digest(scenario):
     for row in report.rows:
         digest.update(repr(dataclasses.astuple(row)).encode())
     result = report.run.result
-    digest.update(repr(result.mass_drift).encode())
-    digest.update(np.ascontiguousarray(result.final.f).tobytes())
-    digest.update(np.ascontiguousarray(result.final.rho).tobytes())
+    for part in _final_state(result):
+        digest.update(part)
     return digest.hexdigest(), result
 
 
@@ -86,7 +101,7 @@ def main(argv: list[str]) -> None:
                 name = f"{preset.name}-{operator.value}-{variant.value}"
                 digest, result = run_digest(scenario)
                 pins[name] = {"rho": result.final.rho.tolist(), "mass_drift": result.mass_drift}
-                lines.append(f"{name} {digest}")
+                lines.append(f"{name} {digest} {state_digest(result)}")
                 print(lines[-1], flush=True)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
     if argv:
