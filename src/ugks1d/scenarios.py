@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import errno
 import json
 import math
 import os
@@ -383,17 +384,25 @@ def _reference_curves(run_: ScenarioRun) -> dict[int, np.ndarray]:
 
 def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> ErrorReport:
     """Run a scenario, write one CSV per snapshot, and collect error norms; the
-    report keeps the run, so its final state needs no second run."""
-    run_ = run_scenario(scenario)
-    refs = _reference_curves(run_)
-    x = scenario.x_centers
+    report keeps the run, so its final state needs no second run.  The output
+    directory is made, and each CSV name held to its ``PC_NAME_MAX``, before
+    the first step, so an output failure costs no run."""
     requested = scenario.snapshot_steps
-    rows: list[SnapshotReport] = []
-    files: list[Path] = []
-    directory: Path | None = None
+    paths: dict[int, Path] = {}
     if out_dir is not None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
+        name_max = os.pathconf(directory, "PC_NAME_MAX")
+        for step, time in requested.items():
+            path = directory / f"{scenario.name}_{scenario.operator.value}_t{_time_label(time)}.csv"
+            if 0 <= name_max < len(os.fsencode(path.name)):
+                raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), str(path))
+            paths[step] = path
+    run_ = run_scenario(scenario)
+    refs = _reference_curves(run_)
+    x = scenario.x_centers
+    rows: list[SnapshotReport] = []
+    files: list[Path] = []
     for idx, snap in enumerate(run_.result.snapshots):
         time = requested.get(snap.step, snap.time)
         ref = refs.get(idx)
@@ -402,9 +411,8 @@ def run_and_report(scenario: Scenario, out_dir: str | Path | None = None) -> Err
             rows.append(SnapshotReport(time, snap.mass, l1, l2, linf))
         else:
             rows.append(SnapshotReport(time, snap.mass))
-        if directory is not None and idx > 0:
-            name = f"{scenario.name}_{scenario.operator.value}_t{_time_label(time)}.csv"
-            path = directory / name
+        path = paths.get(snap.step)  # none for the initial state, step 0
+        if path is not None:
             write_snapshot_csv(path, x, snap.rho, ref)
             files.append(path)
     return ErrorReport(run_, rows, files)

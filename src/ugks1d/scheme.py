@@ -228,9 +228,9 @@ class Stepper:
     ``velocity_space.operator_contract``, so nothing here checks D.  The
     operator is BGK when its matrix is exactly ``build_bgk``'s P0 - I.
     The upwind scale array and the eigenvalues of the implicit-diffusion
-    macro system depend on the cell count, so they are computed on the
-    first step with each cell count and kept.  The variant is
-    ``params.variant``.
+    macro system depend on the cell count, so they are kept for the cell
+    count last stepped and rebuilt when a step has another; ``run`` steps
+    one mesh.  The variant is ``params.variant``.
 
     The step works on the C-contiguous (2N, nx) block f.T, copying a
     C-ordered entry f to that order first.  With the negative velocities
@@ -303,10 +303,8 @@ class Stepper:
         self.macro_mu = params.dt * vv_mean * self.coeffs.d_coef / params.dx**2
         # the density update's weights of the current jump and the second difference
         self._macro_row = np.array([params.dt * self.coeffs.a_coef / params.dx, self.macro_mu])
-        # per cell count: the upwind scale as a (2N, nx) array, and the
-        # macro eigenvalues
-        self._upwind_scales: dict[int, np.ndarray] = {}
-        self._macro_eigenvalues: dict[int, np.ndarray] = {}
+        # the cell count last stepped, its upwind scale and macro eigenvalues
+        self._nx = self._upwind_scale = self._macro_eigenvalues = None
         self._collision_factor = None
         if not bgk:
             # I - cD in one fresh array (np.eye(n) - cD costs 8x as much at n = 800)
@@ -340,23 +338,22 @@ class Stepper:
         f = self._collision_factor.solve(g)
         return dger(1.0, rho_new, self._ones, a=f.T, overwrite_a=True).T
 
+    def _fit_mesh(self, nx: int) -> None:
+        """Rebuild the mesh slot for nx cells unless it holds them already:
+        -k (dt/dx) A V as a (2N, nx) array and, for the implicit variant,
+        the eigenvalues of the macro system."""
+        if nx == self._nx:
+            return
+        self._nx, self._upwind_scale = nx, np.repeat(self._upwind_column, nx, axis=1)
+        if self.params.variant is Variant.IMPLICIT_DIFFUSION:
+            k = np.arange(nx // 2 + 1)
+            self._macro_eigenvalues = 1.0 - 4.0 * self.macro_mu * np.sin(np.pi * k / nx) ** 2
+
     def _solve_macro(self, rhs_rho: np.ndarray) -> np.ndarray:
         """Solve the circulant system (1 - 2 mu, mu, mu) rho = rhs by FFT."""
         nx = rhs_rho.shape[0]
-        eigenvalues = self._macro_eigenvalues.get(nx)
-        if eigenvalues is None:
-            k = np.arange(nx // 2 + 1)
-            eigenvalues = 1.0 - 4.0 * self.macro_mu * np.sin(np.pi * k / nx) ** 2
-            self._macro_eigenvalues[nx] = eigenvalues
-        return np.fft.irfft(np.fft.rfft(rhs_rho) / eigenvalues, n=nx)
-
-    def _upwind_scale(self, nx: int) -> np.ndarray:
-        """-k (dt/dx) A V as a (2N, nx) array, built once per cell count."""
-        scale = self._upwind_scales.get(nx)
-        if scale is None:
-            scale = np.repeat(self._upwind_column, nx, axis=1)
-            self._upwind_scales[nx] = scale
-        return scale
+        self._fit_mesh(nx)
+        return np.fft.irfft(np.fft.rfft(rhs_rho) / self._macro_eigenvalues, n=nx)
 
     def step(self, state: KineticState) -> KineticState:
         """Advance one time step of the parameters' variant; the new f is
@@ -366,6 +363,7 @@ class Stepper:
         rho = state.rho
         h = self._half
         nx = f.shape[1]
+        self._fit_mesh(nx)
         # the upwind difference: f_{i+1} - f_i where V < 0 and f_i - f_{i-1}
         # where V > 0.  On each half's flat block the shifted subtraction is
         # wrong only where it crosses from one velocity to the next, in the
@@ -390,7 +388,7 @@ class Stepper:
 
         # k (f - dt/dx (phi_i - phi_{i-1})), differenced term by term; the
         # scale and the rows carry the -k dt/dx
-        f_new *= self._upwind_scale(nx)
+        f_new *= self._upwind_scale
         daxpy(flat, flat_new, a=self.k)  # in place: flat_new is contiguous
         # beta in place of the current jump, then one (2N, 3) @ (3, nx)
         # product that BLAS adds in place; BGK's beta ends its collision,

@@ -95,31 +95,35 @@ def build_bgk(grid: VelocityGrid) -> CollisionOperator:
     )
 
 
+def _cycle_laplacian(weights: np.ndarray) -> np.ndarray:
+    """W - diag(W 1) on the cycle of velocity indices whose edge j -- j+1
+    (mod 2N) has weight ``weights[j]``, zero for no edge; the wrap edge is
+    added, so at 2N = 2 it sums with the one band edge."""
+    n = len(weights)
+    matrix = np.zeros((n, n))
+    flat = matrix.reshape(-1)  # a view, whose stride n + 1 walks a diagonal
+    flat[1 :: n + 1] = flat[n :: n + 1] = weights[:-1]
+    matrix[0, n - 1] += weights[-1]
+    matrix[n - 1, 0] += weights[-1]
+    flat[:: n + 1] = -(weights + weights[np.arange(n) - 1])  # np.roll(weights, 1), by a gather
+    return matrix
+
+
 def build_fokker_planck(grid: VelocityGrid) -> CollisionOperator:
     """Conservative velocity-diffusion operator with degenerate edges.
 
     Row j applies the flux difference
     (1 - v_{j+1/2}^2)(F_{j+1} - F_j) - (1 - v_{j-1/2}^2)(F_j - F_{j-1}),
-    all divided by dv^2, with cell edges at v = m/N.  The outermost edges
-    sit exactly at -1 and +1 where the diffusivity 1 - v^2 vanishes, so no
-    flux leaves the velocity interval; that choice is what makes D 1 = 0
-    and D V = -2 V hold exactly.
-
-    The edge weights (1 - (m/N)^2)/dv^2 = N^2 - m^2 are integers, so the
-    assembled matrix is exact in floating point.
+    all divided by dv^2, with cell edges at v = m/N: the cycle Laplacian
+    whose edge j -- j+1, at m = j + 1 - N, has weight N^2 - m^2.  The wrap
+    edge sits at v = +-1, where the diffusivity 1 - v^2 and so the weight
+    vanish; that choice is what makes D V = -2 V hold exactly.  The weights
+    are integers, so the assembled matrix is exact in floating point.
     """
-    half = grid.half_count
-    n = grid.size
-    m = np.arange(n + 1) - half
-    weights = (half * half - m * m).astype(float)
-    matrix = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    matrix[idx + 1, idx] = weights[1:n]
-    matrix[idx, idx + 1] = weights[1:n]
-    matrix[np.arange(n), np.arange(n)] = -(weights[:n] + weights[1:])
+    m = np.arange(1, grid.size + 1) - grid.half_count
     return CollisionOperator(
         grid=grid,
-        matrix=_read_only(matrix),
+        matrix=_read_only(_cycle_laplacian((grid.half_count**2 - m * m).astype(float))),
         lambda_star=-2.0,
         u_vector=_read_only(-0.5 * grid.velocities),
     )
@@ -130,25 +134,15 @@ _SCATTERING_SCALE = 0.1
 
 
 def build_scattering(grid: VelocityGrid) -> CollisionOperator:
-    """Scaled periodic Laplacian in velocity.
-
-    The velocity indices form a cycle (1, ..., 2N, 1): the corner entries
-    couple the fastest forward and backward velocities. lambda_star has no
-    closed form here; U comes from a direct mean-zero solve of D U = V.
+    """Scaled periodic Laplacian in velocity: the cycle Laplacian with weight
+    _SCATTERING_SCALE / dv^2 on every edge, so the corner entries couple the
+    fastest forward and backward velocities.  lambda_star has no closed
+    form here; U comes from a direct mean-zero solve of D U = V.
     """
     n = grid.size
     if n < 3:
-        raise ConfigurationError(
-            f"scattering cycle needs at least 3 velocities, got 2N = {n}"
-        )
-    c = _SCATTERING_SCALE / grid.delta_v**2
-    matrix = np.zeros((n, n))
-    idx = np.arange(n)
-    matrix[idx, idx] = -2.0 * c
-    matrix[idx[:-1], idx[:-1] + 1] = c
-    matrix[idx[:-1] + 1, idx[:-1]] = c
-    matrix[0, n - 1] = c
-    matrix[n - 1, 0] = c
+        raise ConfigurationError(f"scattering cycle needs at least 3 velocities, got 2N = {n}")
+    matrix = _cycle_laplacian(np.full(n, _SCATTERING_SCALE / grid.delta_v**2))
     # the record checks the matrix, so the solve skips compute_u_and_lambda's check
     u_vector, lambda_star = _u_and_lambda(matrix, grid.velocities)
     return CollisionOperator(

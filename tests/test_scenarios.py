@@ -1,8 +1,10 @@
 """Presets, config loading, reporting, sweeps, and the CLI surface."""
 
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 import shlex
 import tracemalloc
@@ -876,7 +878,10 @@ def test_cli_rejects_an_integer_beyond_the_json_parser_digit_limit(tmp_path, cap
     assert captured.err.startswith("config-error:") and "digits" in captured.err
 
 
-def test_cli_io_error_exit_code(tmp_path, capsys):
+def test_cli_io_error_exit_code(tmp_path, capsys, monkeypatch):
+    # the output directory is made before the first step
+    steps = []
+    monkeypatch.setattr(Stepper, "step", lambda self, state: steps.append(state))
     config = write_config(tmp_path)
     blocker = tmp_path / "blocker"
     blocker.write_text("занято")
@@ -884,6 +889,22 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 4
     assert captured.err.startswith("io-error:")
+    assert steps == []
+
+
+def test_cli_name_too_long_for_a_file_exits_4_before_the_first_step(tmp_path, capsys, monkeypatch):
+    # it ran all 500 steps, then exited 4 on "[Errno 36] File name too long"
+    steps = []
+    monkeypatch.setattr(Stepper, "step", lambda self, state: steps.append(state))
+    config = write_config(tmp_path, name="n" * 300, t_snapshots=[0.5])
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and steps == []
+    too_long = errno.ENAMETOOLONG
+    assert captured.err.startswith(f"io-error: [Errno {too_long}] {os.strerror(too_long)}")
+    assert list(out_dir.iterdir()) == []
 
 
 def test_cli_blow_up_exits_3_without_csv(tmp_path, capsys):

@@ -766,9 +766,9 @@ def test_step_matches_per_interface_oracle_anywhere(case, log_sigma):
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_stepper_caches_hold_for_every_cell_count(name, variant):
-    # one Stepper keeps the upwind scale and the macro eigenvalues per cell
-    # count; stepping 50, then 80, then 50 cells again must give bitwise
-    # what fresh Steppers give
+    # one Stepper keeps the upwind scale and the macro eigenvalues for the
+    # cell count it stepped last; stepping 50, then 80, then 50 cells again
+    # must give bitwise what fresh Steppers give
     op = BUILDERS[name](build_grid(5))
     params = make_params(variant=variant, dx=1.0 / 50)
     shared = Stepper(op, params)

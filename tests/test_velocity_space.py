@@ -13,6 +13,7 @@ from oracles import cho_solve_mean_zero
 from ugks1d import errors, scenarios, scheme
 from ugks1d.errors import ConfigurationError
 from ugks1d.velocity_space import (
+    _SCATTERING_SCALE,
     CollisionOperator,
     OperatorKind,
     build_bgk,
@@ -179,6 +180,25 @@ def test_scattering_smallest_cycle_closed_form():
 def test_scattering_needs_three_velocities():
     with pytest.raises(ConfigurationError, match="at least 3"):
         build_scattering(build_grid(1))
+
+
+@pytest.mark.parametrize("half", [1, 2, 3, 50, 400])
+def test_band_matrices_hold_their_edge_weights_bitwise(half):
+    # each entry to the bit, +0.0 included: the preset digest was the only
+    # other check that would see a one-bit change in these matrices
+    grid = build_grid(half)
+    n = grid.size
+    m = np.arange(1, n) - half
+    edges = (half * half - m * m).astype(float)  # the inner edges, at v = m/N
+    left, right = np.r_[0.0, edges], np.r_[edges, 0.0]
+    fp = np.diag(edges, -1) + np.diag(edges, 1) + np.diag(-(left + right))
+    assert build_fokker_planck(grid).matrix.tobytes() == fp.tobytes()
+    if n < 3:
+        return
+    c = _SCATTERING_SCALE / grid.delta_v**2
+    sc = np.diag(np.full(n - 1, c), -1) + np.diag(np.full(n - 1, c), 1) + np.diag(np.full(n, -2.0 * c))
+    sc[0, n - 1] = sc[n - 1, 0] = c
+    assert build_scattering(grid).matrix.tobytes() == sc.tobytes()
 
 
 @pytest.mark.parametrize("half", [2, 5, 50])
