@@ -4,7 +4,8 @@
 every later solve is one matrix product with that dense inverse.  Each
 builder takes the dense matrix and calls LAPACK: ``factor_tridiagonal``
 applies ``gtsv`` to the identity, ``factor_cyclic`` adds a
-Sherman-Morrison rank-one correction for the periodic corners, and
+Sherman-Morrison rank-one correction for the periodic corners, written in
+place into gtsv's Fortran-ordered inverse by one BLAS ``dger``, and
 ``factor_positive_definite`` inverts any other symmetric positive definite
 matrix by Cholesky (``potrf``, ``potri``).  ``scheme`` picks the builder
 by the nonzero pattern; no builder checks symmetry, a record's rule.
@@ -26,6 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.linalg.blas import dger
 
 from .errors import SolverError
 
@@ -156,7 +158,8 @@ def factor_cyclic(matrix: np.ndarray) -> CyclicTridiagonalFactor:
     denom = 1.0 + z[0] + v_last * z[-1]
     if abs(denom) <= 1e-14:
         raise SolverError("singular reduced system in cyclic tridiagonal factorization")
-    inverse -= np.outer(z / denom, inverse[0] + v_last * inverse[-1])
+    # one BLAS dger into gtsv's Fortran-ordered inverse, in place: no n x n temporary
+    inverse = dger(-1.0, z / denom, inverse[0] + v_last * inverse[-1], a=inverse, overwrite_a=True)
     return CyclicTridiagonalFactor(inverse)
 
 

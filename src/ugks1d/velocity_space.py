@@ -17,6 +17,11 @@ Laplacian of a weighted graph, so it conserves the velocity average
 rho = (1/2N) sum_j F_j and is negative semidefinite; its kernel is the
 constants when the graph is connected (``validate_operator``'s
 ``irreducible``).
+
+The three builders, BGK, Fokker-Planck and periodic scattering, write U and
+lambda_star in closed form (-1, -2 and -6N^2/(4N^2 + 11)) and call no
+LAPACK routine; ``compute_u_and_lambda`` solves for them by Cholesky for
+any other matrix that meets the contract.
 """
 
 from __future__ import annotations
@@ -135,20 +140,28 @@ _SCATTERING_SCALE = 0.1
 
 def build_scattering(grid: VelocityGrid) -> CollisionOperator:
     """Scaled periodic Laplacian in velocity: the cycle Laplacian with weight
-    _SCATTERING_SCALE / dv^2 on every edge, so the corner entries couple the
-    fastest forward and backward velocities.  lambda_star has no closed
-    form here; U comes from a direct mean-zero solve of D U = V.
+    s / dv^2, s = _SCATTERING_SCALE, on every edge, so the corner entries
+    couple the fastest forward and backward velocities.
+
+    U and lambda_star are closed-form, as for BGK and Fokker-Planck.  The
+    second difference of v^3 is exactly 6 v dv^2 and that of v is 0, so
+    U = (V^3 - a V) / (6 s) meets D U = V on every row away from the wrap
+    edge.  The two wrap rows read p(v_{2N}) where the cycle stands for
+    p(v_1 - dv) = p(v_{2N} - 2), so the cubic p must take equal values
+    there, which fixes a = 1 + 3 dv^2 / 4.  U is odd, so its mean is zero,
+    and the sums of v^2 and v^4 over the grid give
+
+        lambda_star = <V, V> / <U, V> = -6 N^2 / (4 N^2 + 11)  ->  -3/2.
     """
-    n = grid.size
+    n, half = grid.size, grid.half_count
     if n < 3:
         raise ConfigurationError(f"scattering cycle needs at least 3 velocities, got 2N = {n}")
-    matrix = _cycle_laplacian(np.full(n, _SCATTERING_SCALE / grid.delta_v**2))
-    # the record checks the matrix, so the solve skips compute_u_and_lambda's check
-    u_vector, lambda_star = _u_and_lambda(matrix, grid.velocities)
+    v = grid.velocities
+    u_vector = v * (v * v - (1.0 + 0.75 * grid.delta_v**2)) / (6.0 * _SCATTERING_SCALE)
     return CollisionOperator(
         grid=grid,
-        matrix=_read_only(matrix),
-        lambda_star=lambda_star,
+        matrix=_read_only(_cycle_laplacian(np.full(n, _SCATTERING_SCALE / grid.delta_v**2))),
+        lambda_star=-6.0 * half * half / (4.0 * half * half + 11.0),
         u_vector=_read_only(u_vector),
     )
 
@@ -187,18 +200,15 @@ def _solve_mean_zero(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _u_and_lambda(matrix: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray, float]:
-    u = _solve_mean_zero(matrix, velocities)
-    return u, float((velocities @ velocities) / (u @ velocities))
-
-
 def compute_u_and_lambda(matrix: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray, float]:
     """U with D U = V and <U, 1> = 0, and lambda_star = <V,V>/<U,V> < 0, for a D
     that meets the matrix rules of ``operator_contract``; the record made from
     them checks all three.  Raises operator-invalid naming the first matrix rule
     D breaks, or saying that its kernel is larger than the constants."""
     operator_contract(matrix).require()
-    return _u_and_lambda(matrix, np.asarray(velocities, dtype=float))
+    velocities = np.asarray(velocities, dtype=float)
+    u = _solve_mean_zero(matrix, velocities)
+    return u, float((velocities @ velocities) / (u @ velocities))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -270,7 +271,10 @@ def test_initialize_state_samples_f0_velocity_major(nx, nv):
     outer = np.outer(velocity_profile(grid.velocities), space_profile(x - 0.5)).T
     np.testing.assert_array_equal(state.f, outer, strict=True)
     assert state.f.flags.f_contiguous
-    np.testing.assert_array_equal(state.rho, state.f.mean(axis=1))
+    # rho from the two profiles, with no pass over f: f's velocity mean to round-off
+    velocity_mean = velocity_profile(grid.velocities).mean()
+    np.testing.assert_array_equal(state.rho, space_profile(x - 0.5) * velocity_mean, strict=True)
+    assert np.abs(state.f.mean(axis=1) - state.rho).max() <= 1e-15 * np.abs(state.rho).max()
 
 
 # ----------------------------------------------------------------- CSV files
@@ -547,6 +551,15 @@ def test_lambda_star_report_rows():
         np.testing.assert_allclose(row.lambda_star, -2.0, atol=1e-10)
     rows = lambda_star_report(OperatorKind.SCATTERING_PERIODIC, [10])
     assert rows[0].target == -1.5
+
+
+@pytest.mark.parametrize("nv", [4, 6, 8, 100, 800])
+def test_lambda_star_report_gives_the_rational_scattering_value(nv):
+    # lambda_star(N) = -(24 - 6/N^2) / (16 + 40/N^2 - 11/N^4), correctly rounded
+    n2 = Fraction((nv // 2) ** 2)
+    exact = -(24 - 6 / n2) / (16 + 40 / n2 - 11 / n2**2)
+    (row,) = lambda_star_report("sc", [nv])
+    assert (row.nv, row.lambda_star, row.target) == (nv, float(exact), -1.5)
 
 
 def test_lambda_star_report_takes_the_value_string():

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cho_solve_mean_zero
-from ugks1d import errors, scenarios, scheme
+from ugks1d import errors, scenarios, scheme, velocity_space
 from ugks1d.errors import ConfigurationError
 from ugks1d.velocity_space import (
     _SCATTERING_SCALE,
@@ -180,6 +181,52 @@ def test_scattering_smallest_cycle_closed_form():
 def test_scattering_needs_three_velocities():
     with pytest.raises(ConfigurationError, match="at least 3"):
         build_scattering(build_grid(1))
+
+
+@pytest.mark.parametrize("half", [2, 3, 4, 50, 400])
+def test_scattering_closed_form_is_exact_in_rational_arithmetic(half):
+    # D U = V on every row, wrap rows included, <U, 1> = 0 and lambda_star,
+    # in exact arithmetic; then the stored floats against the exact values
+    n, scale = 2 * half, Fraction(1, 10)
+    v = [Fraction(2 * j - n - 1, n) for j in range(1, n + 1)]
+    a = 1 + Fraction(3, 4 * half * half)
+    u = [(x**3 - a * x) / (6 * scale) for x in v]
+    weight = scale * half * half  # s / dv^2
+    for j in range(n):
+        assert weight * (u[(j + 1) % n] - 2 * u[j] + u[j - 1]) == v[j]
+    assert sum(u) == 0
+    exact = sum(x * x for x in v) / sum(x * y for x, y in zip(u, v))
+    n2 = Fraction(half * half)
+    assert exact == -(24 - 6 / n2) / (16 + 40 / n2 - 11 / n2**2) == -6 * n2 / (4 * n2 + 11)
+    op = build_scattering(build_grid(half))
+    assert op.lambda_star == float(exact)  # correctly rounded
+    u_exact = np.array([float(x) for x in u])
+    assert np.abs(op.u_vector - u_exact).max() <= 1e-15 * np.abs(u_exact).max()
+    np.testing.assert_array_equal(op.u_vector[::-1], -op.u_vector)  # exactly odd
+
+
+@pytest.mark.parametrize("half", [2, 3, 4, 50, 400])
+def test_scattering_closed_form_matches_the_mean_zero_solve(half):
+    op = build_scattering(build_grid(half))
+    v = op.grid.velocities
+    u = _solve_mean_zero(op.matrix, v)
+    assert np.abs(op.u_vector - u).max() <= 1e-13 * np.abs(u).max()
+    # the solve's own lambda_star is off by about cond(D) eps after its
+    # refinement step, 5.5e-14 relative at N = 400; the closed form is exact
+    np.testing.assert_allclose(op.lambda_star, (v @ v) / (u @ v), rtol=1e-13, atol=0.0)
+
+
+def test_build_scattering_calls_no_lapack(monkeypatch):
+    class NoLapack:
+        def __getattr__(self, name):
+            raise AssertionError(f"build_scattering called lapack.{name}")
+
+    monkeypatch.setattr(velocity_space, "lapack", NoLapack())
+    for half in (2, 50, 400):
+        op = build_scattering(build_grid(half))
+        assert velocity_space.operator_contract(
+            op.matrix, op.grid.velocities, op.u_vector, op.lambda_star
+        ).passed
 
 
 @pytest.mark.parametrize("half", [1, 2, 3, 50, 400])
