@@ -350,7 +350,11 @@ def read_snapshot_csv(path: Path) -> dict[str, np.ndarray]:
 
 
 def _reference_curves(run_: ScenarioRun) -> dict[int, np.ndarray]:
-    """Reference density per snapshot index, for the scenario's reference."""
+    """Reference density per snapshot index, for the scenario's reference.
+
+    The heat kernel's kappa pairs the continuum <V^2> = 1/3 with the discrete
+    lambda_star_N, a mixed model; ``LIMIT_FD``'s takes the discrete <V^2>_N =
+    <V,V>/2N = 1/3 - dv^2/12, which the macro flux d <V,V>/(2N) tends to."""
     scenario = run_.scenario
     op = run_.operator
     x = scenario.x_centers
@@ -361,7 +365,6 @@ def _reference_curves(run_: ScenarioRun) -> dict[int, np.ndarray]:
             if snap.time > 0:
                 refs[idx] = transport_density(snap.time, x, op.grid, scenario.eta)
     elif scenario.reference is Reference.DIFFUSION:
-        # the macro flux's d <V,V>/(2N) tends to eps/eta times the eta = eps coefficient
         kappa = (scenario.epsilon / scenario.eta) / (3.0 * scenario.sigma * abs(op.lambda_star))
         for idx, snap in enumerate(snapshots):
             if snap.time > 0:

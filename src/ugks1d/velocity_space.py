@@ -18,10 +18,10 @@ rho = (1/2N) sum_j F_j and is negative semidefinite; its kernel is the
 constants when the graph is connected (``validate_operator``'s
 ``irreducible``).
 
-The three builders, BGK, Fokker-Planck and periodic scattering, write U and
-lambda_star in closed form (-1, -2 and -6N^2/(4N^2 + 11)) and call no
-LAPACK routine; ``compute_u_and_lambda`` solves for them by Cholesky for
-any other matrix that meets the contract.
+U and lambda_star come from the three builders, BGK, Fokker-Planck and
+periodic scattering, in closed form (-1, -2 and -6N^2/(4N^2 + 11)), or from
+the caller of a record built by hand.  This layer builds records and checks
+their contract; it solves nothing and calls no LAPACK routine.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import ConfigurationError, require_count
 
@@ -166,51 +165,6 @@ def build_scattering(grid: VelocityGrid) -> CollisionOperator:
     )
 
 
-def _solve_mean_zero(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Solve D psi = phi - mean(phi) with <psi, 1> = 0 by one Cholesky factorization.
-
-    When D meets the contract's matrix rules and its kernel is span(1),
-    -D + 11^T/n is positive definite and its solution against -phi already
-    has mean zero; the re-centre only removes round-off.  LAPACK ``potrf``
-    factors it once, in place in a Fortran-ordered array, and ``potrs``
-    solves twice.  A failed factorization or a residual above 1e-9 |phi|
-    means the kernel of D is larger than the constants, and raises
-    operator-invalid.
-    """
-    phi = phi - phi.mean()
-    n = len(phi)
-    system = np.subtract(1.0 / n, matrix, order="F")  # 11^T/n - D
-    factor, info = lapack.dpotrf(system, overwrite_a=True, clean=False)
-    if info > 0:
-        raise ConfigurationError(
-            "operator-invalid: the kernel of D is larger than the constants "
-            "(11^T/n - D has no Cholesky factor)"
-        )
-    psi = lapack.dpotrs(factor, -phi)[0]
-    # one refinement step: a single solve loses about cond eps of <psi, phi>,
-    # which lambda_star = <V,V>/<U,V> carries (1e-12 for sc at n = 400)
-    psi += lapack.dpotrs(factor, matrix @ psi - phi)[0]
-    psi -= psi.mean()
-    residual = np.linalg.norm(matrix @ psi - phi)
-    if not residual <= 1e-9 * np.linalg.norm(phi):
-        raise ConfigurationError(
-            "operator-invalid: the kernel of D is larger than the constants "
-            f"(relative residual {residual / np.linalg.norm(phi):.3e} of D psi = phi)"
-        )
-    return psi
-
-
-def compute_u_and_lambda(matrix: np.ndarray, velocities: np.ndarray) -> tuple[np.ndarray, float]:
-    """U with D U = V and <U, 1> = 0, and lambda_star = <V,V>/<U,V> < 0, for a D
-    that meets the matrix rules of ``operator_contract``; the record made from
-    them checks all three.  Raises operator-invalid naming the first matrix rule
-    D breaks, or saying that its kernel is larger than the constants."""
-    operator_contract(matrix).require()
-    velocities = np.asarray(velocities, dtype=float)
-    u = _solve_mean_zero(matrix, velocities)
-    return u, float((velocities @ velocities) / (u @ velocities))
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Structural check results by name, in report order, and their measured magnitudes."""
@@ -272,7 +226,7 @@ def operator_contract(
     """
     d = np.asarray(matrix, dtype=float)
     if velocities is None:
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        if d.ndim != 2 or not 0 < d.shape[0] == d.shape[1]:
             raise ConfigurationError(
                 f"operator-invalid: expected a square matrix, got shape {d.shape}")
         columns = np.ones((d.shape[0], 1))
@@ -284,33 +238,34 @@ def operator_contract(
         columns = np.ones((n, 2))
         columns[:, 1] = u_vector
     # D 1, and D U for a record, by one product; a non-finite entry of D makes
-    # its row sum non-finite, so only then is D itself scanned
-    products = d @ columns
-    if not (np.isfinite(columns).all()
-            and (np.isfinite(products[:, 0]).all() or np.isfinite(d).all())):
-        what = "D" if velocities is None else "matrix and u_vector"
-        raise ConfigurationError(f"operator-invalid: {what} must be finite")
-    n = d.shape[0]
-    # an exact comparison first: the asymmetry's own pass is paid only on failure
-    asymmetry = 0.0 if np.array_equal(d, d.T) else float(np.abs(d - d.T).max())
-    row_sums = float(np.abs(products[:, 0]).max())
-    # no negative entry off the diagonal: the least one is found only on failure
-    negative_off = np.count_nonzero(d < 0.0) - np.count_nonzero(d.diagonal() < 0.0)
-    min_off = float(np.where(np.eye(n, dtype=bool), 0.0, d).min()) if negative_off else 0.0
-    tol = 1e-13 * float(np.abs(d.diagonal()).max())
-    checks = {"symmetric": asymmetry == 0.0, "zero_row_sums": row_sums <= tol,
-              "nonnegative_off_diagonal": min_off >= 0.0}
-    details = {"symmetric": asymmetry, "zero_row_sums": row_sums,
-               "nonnegative_off_diagonal": min_off}
-    if velocities is not None:
-        v, u = np.asarray(velocities, dtype=float), np.asarray(u_vector, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero U fails, not raises
+    # its row sum non-finite, so only then is D itself scanned.  Non-finite
+    # input raises and a zero U fails its gaps, so neither warns
+    with np.errstate(divide="ignore", invalid="ignore"):
+        products = d @ columns
+        if not (np.isfinite(columns).all()
+                and (np.isfinite(products[:, 0]).all() or np.isfinite(d).all())):
+            what = "D" if velocities is None else "matrix and u_vector"
+            raise ConfigurationError(f"operator-invalid: {what} must be finite")
+        n = d.shape[0]
+        # an exact comparison first: the asymmetry's own pass is paid only on failure
+        asymmetry = 0.0 if np.array_equal(d, d.T) else float(np.abs(d - d.T).max())
+        row_sums = float(np.abs(products[:, 0]).max())
+        # no negative entry off the diagonal: the least one is found only on failure
+        negative_off = np.count_nonzero(d < 0.0) - np.count_nonzero(d.diagonal() < 0.0)
+        min_off = float(np.where(np.eye(n, dtype=bool), 0.0, d).min()) if negative_off else 0.0
+        tol = 1e-13 * float(np.abs(d.diagonal()).max())
+        checks = {"symmetric": asymmetry == 0.0, "zero_row_sums": row_sums <= tol,
+                  "nonnegative_off_diagonal": min_off >= 0.0}
+        details = {"symmetric": asymmetry, "zero_row_sums": row_sums,
+                   "nonnegative_off_diagonal": min_off}
+        if velocities is not None:
+            v, u = np.asarray(velocities, dtype=float), np.asarray(u_vector, dtype=float)
             details["d_u_equals_v"] = float(np.linalg.norm(products[:, 1] - v) / np.linalg.norm(v))
             details["u_mean_zero"] = float(abs(u.sum()) / np.abs(u).sum())
             details["lambda_star"] = float(abs(lambda_star / ((v @ v) / (u @ v)) - 1.0))
-        checks["d_u_equals_v"] = details["d_u_equals_v"] <= 1e-9
-        checks["u_mean_zero"] = details["u_mean_zero"] <= 1e-12
-        checks["lambda_star"] = lambda_star < 0 and details["lambda_star"] <= 1e-12
+            checks["d_u_equals_v"] = details["d_u_equals_v"] <= 1e-9
+            checks["u_mean_zero"] = details["u_mean_zero"] <= 1e-12
+            checks["lambda_star"] = lambda_star < 0 and details["lambda_star"] <= 1e-12
     return ValidationReport(checks, details)
 
 

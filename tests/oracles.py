@@ -119,15 +119,23 @@ def dense_spectral(op: CollisionOperator) -> SpectralDecomposition:
 
 def cho_solve_mean_zero(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """D psi = phi - mean(phi) with <psi, 1> = 0 by ``cho_factor``/``cho_solve`` on
-    11^T/n - D: the factor, solves, refinement step and re-centre that
-    ``velocity_space._solve_mean_zero`` makes through LAPACK, which must
-    match this bit for bit."""
+    11^T/n - D, which is positive definite when the kernel of D is the
+    constants: one factor, two solves (one refinement step) and a re-centre.
+    The package has no such solve; its builders write U in closed form.  The
+    refined lambda_star still loses accuracy as N^2 on sc, 5.5e-14 relative
+    at N = 400 and 3.7e-13 at N = 800."""
     phi = phi - phi.mean()
     n = len(phi)
     factor = cho_factor(np.full((n, n), 1.0 / n) - matrix)
     psi = cho_solve(factor, -phi)
     psi += cho_solve(factor, matrix @ psi - phi)
     return psi - psi.mean()
+
+
+def u_and_lambda(matrix: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """U with D U = V and <U, 1> = 0, and lambda_star = <V,V>/<U,V>, by the solve above."""
+    u = cho_solve_mean_zero(matrix, v)
+    return u, float((v @ v) / (u @ v))
 
 
 def _relaxation_exponent(t_rel: float, params: SchemeParams, lambda_star: float) -> float:

@@ -1,13 +1,17 @@
-"""The package's runtime reaches scipy only through ``scipy.linalg``.
+"""The package's runtime reaches scipy only through ``scipy.linalg``, and its
+velocity-space layer not at all.
 
-The check runs in a fresh interpreter: the test process itself has loaded
-other scipy subpackages (the oracles import ``scipy.integrate``).
+The runtime check runs in a fresh interpreter: the test process itself has
+loaded other scipy subpackages (the oracles import ``scipy.integrate``).
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from ugks1d import velocity_space
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,3 +54,21 @@ def test_runs_load_no_scipy_subpackage_but_linalg():
     loaded = done.stdout.split()
     assert "scipy.linalg" in loaded
     assert [name for name in loaded if not _allowed(name)] == []
+
+
+def test_velocity_space_imports_only_the_standard_library_and_numpy():
+    # the builders write U and lambda_star in closed form, so the layer solves nothing
+    tree = ast.parse((SRC / "ugks1d" / "velocity_space.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert {name for name in imported if name.split(".")[0] not in sys.stdlib_module_names} == {
+        "numpy", ".errors"}
+    for builder in (velocity_space.build_bgk, velocity_space.build_fokker_planck,
+                    velocity_space.build_scattering):
+        for half in (2, 50, 400):
+            op = builder(velocity_space.build_grid(half))
+            assert velocity_space.operator_contract(
+                op.matrix, op.grid.velocities, op.u_vector, op.lambda_star
+            ).passed

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import half_moments, macro_flux, micro_flux, per_interface_step, underflow_exp
+from oracles import (
+    half_moments,
+    macro_flux,
+    micro_flux,
+    per_interface_step,
+    u_and_lambda,
+    underflow_exp,
+)
 from ugks1d import scheme
 from ugks1d.errors import ConfigurationError
 from ugks1d.errors import SolverError
@@ -34,7 +41,6 @@ from ugks1d.velocity_space import (
     build_fokker_planck,
     build_grid,
     build_scattering,
-    compute_u_and_lambda,
 )
 
 BUILDERS = {
@@ -292,7 +298,7 @@ def dense_operator(grid):
     """A dense negative semidefinite operator: it has no band form, so its
     collision system is inverted by Cholesky."""
     matrix = 0.5 * (build_scattering(grid).matrix + build_bgk(grid).matrix)
-    u, lam = compute_u_and_lambda(matrix, grid.velocities)
+    u, lam = u_and_lambda(matrix, grid.velocities)
     return CollisionOperator(grid=grid, matrix=matrix, lambda_star=lam, u_vector=u)
 
 
