@@ -3,7 +3,7 @@
 Subcommands
 -----------
 run                advance a scenario, print error norms, write snapshot CSVs
-validate-operator  the operator contract's checks, irreducibility and lambda*
+validate-operator  the operator contract's six checks, irreducibility and lambda*
 lambda-star        pseudo-eigenvalue table across velocity resolutions
 ap-sweep           stability/accuracy sweep across stiffness
 compare-variants   explicit vs implicit-diffusion gap and its dt-refinement ratio
@@ -63,7 +63,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     op = build_operator(args.operator, args.nv)
-    report = validate_operator(op.matrix)
+    report = validate_operator(op)
     for line in report.lines():
         print(line)
     print(f"lambda_star = {op.lambda_star:.12g}")

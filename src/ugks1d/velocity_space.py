@@ -49,7 +49,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VelocityGrid:
+    """Symmetric grid of 2N velocities; N is a count (``require_count``) of at least 1."""
+
     half_count: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "half_count", require_count("half_count", self.half_count, 1))
 
     @property
     def size(self) -> int:
@@ -67,8 +72,7 @@ class VelocityGrid:
 
 
 def build_grid(half_count: int) -> VelocityGrid:
-    """Symmetric grid of 2N velocities; N is a count (``require_count``) of at least 1."""
-    return VelocityGrid(require_count("half_count", half_count, 1))
+    return VelocityGrid(half_count)
 
 
 @dataclass(frozen=True)
@@ -203,10 +207,9 @@ def _reaches_every_vertex(edges: np.ndarray) -> bool:
 
 
 def operator_contract(
-    matrix: np.ndarray, velocities=None, u_vector=None, lambda_star=None
+    matrix: np.ndarray, velocities: np.ndarray, u_vector: np.ndarray, lambda_star: float
 ) -> ValidationReport:
-    """Every rule a collision matrix, and with ``velocities``, ``u_vector``
-    and ``lambda_star`` a record, must meet; O(n^2).
+    """Every rule a record (grid velocities V, D, U, lambda_star) must meet; O(n^2).
 
     The matrix rules: D is exactly symmetric, max |D 1| <= 1e-13 max |D_ii|,
     and no off-diagonal entry is negative.  Together they make D
@@ -225,28 +228,20 @@ def operator_contract(
     operator-invalid.
     """
     d = np.asarray(matrix, dtype=float)
-    if velocities is None:
-        if d.ndim != 2 or not 0 < d.shape[0] == d.shape[1]:
-            raise ConfigurationError(
-                f"operator-invalid: expected a square matrix, got shape {d.shape}")
-        columns = np.ones((d.shape[0], 1))
-    else:
-        n, shapes = len(velocities), (d.shape, np.shape(u_vector))
-        if shapes != ((n, n), (n,)):
-            raise ConfigurationError(f"operator-invalid: matrix and u_vector have shapes {shapes}; "
-                                     f"the grid's 2N = {n} needs ({n}, {n}) and ({n},)")
-        columns = np.ones((n, 2))
-        columns[:, 1] = u_vector
-    # D 1, and D U for a record, by one product; a non-finite entry of D makes
-    # its row sum non-finite, so only then is D itself scanned.  Non-finite
-    # input raises and a zero U fails its gaps, so neither warns
+    n, shapes = len(velocities), (d.shape, np.shape(u_vector))
+    if shapes != ((n, n), (n,)):
+        raise ConfigurationError(f"operator-invalid: matrix and u_vector have shapes {shapes}; "
+                                 f"the grid's 2N = {n} needs ({n}, {n}) and ({n},)")
+    columns = np.ones((n, 2))
+    columns[:, 1] = u_vector
+    # D 1 and D U by one product; a non-finite entry of D makes its row sum
+    # non-finite, so only then is D itself scanned.  Non-finite input raises
+    # and a zero U fails its gaps, so neither warns
     with np.errstate(divide="ignore", invalid="ignore"):
         products = d @ columns
         if not (np.isfinite(columns).all()
                 and (np.isfinite(products[:, 0]).all() or np.isfinite(d).all())):
-            what = "D" if velocities is None else "matrix and u_vector"
-            raise ConfigurationError(f"operator-invalid: {what} must be finite")
-        n = d.shape[0]
+            raise ConfigurationError("operator-invalid: matrix and u_vector must be finite")
         # an exact comparison first: the asymmetry's own pass is paid only on failure
         asymmetry = 0.0 if np.array_equal(d, d.T) else float(np.abs(d - d.T).max())
         row_sums = float(np.abs(products[:, 0]).max())
@@ -258,31 +253,26 @@ def operator_contract(
                   "nonnegative_off_diagonal": min_off >= 0.0}
         details = {"symmetric": asymmetry, "zero_row_sums": row_sums,
                    "nonnegative_off_diagonal": min_off}
-        if velocities is not None:
-            v, u = np.asarray(velocities, dtype=float), np.asarray(u_vector, dtype=float)
-            details["d_u_equals_v"] = float(np.linalg.norm(products[:, 1] - v) / np.linalg.norm(v))
-            details["u_mean_zero"] = float(abs(u.sum()) / np.abs(u).sum())
-            details["lambda_star"] = float(abs(lambda_star / ((v @ v) / (u @ v)) - 1.0))
-            checks["d_u_equals_v"] = details["d_u_equals_v"] <= 1e-9
-            checks["u_mean_zero"] = details["u_mean_zero"] <= 1e-12
-            checks["lambda_star"] = lambda_star < 0 and details["lambda_star"] <= 1e-12
+        v, u = np.asarray(velocities, dtype=float), np.asarray(u_vector, dtype=float)
+        details["d_u_equals_v"] = float(np.linalg.norm(products[:, 1] - v) / np.linalg.norm(v))
+        details["u_mean_zero"] = float(abs(u.sum()) / np.abs(u).sum())
+        details["lambda_star"] = float(abs(lambda_star / ((v @ v) / (u @ v)) - 1.0))
+        checks["d_u_equals_v"] = details["d_u_equals_v"] <= 1e-9
+        checks["u_mean_zero"] = details["u_mean_zero"] <= 1e-12
+        checks["lambda_star"] = lambda_star < 0 and details["lambda_star"] <= 1e-12
     return ValidationReport(checks, details)
 
 
-def validate_operator(matrix: np.ndarray) -> ValidationReport:
-    """The matrix rules of ``operator_contract``, with its names, tolerances
-    and magnitudes, then ``irreducible``: strong connectivity of the directed
-    graph with an edge i -> j wherever D_ij > 0 off the diagonal.  With the
-    matrix rules it says that the kernel of D is the constants.  The sweep
-    costs more than a whole run's set-up at 2N = 100, so records skip it.
-
-    Failures are report entries; a non-square or non-finite matrix raises.
+def validate_operator(op: CollisionOperator) -> ValidationReport:
+    """The record's ``operator_contract``, with its names, tolerances and
+    magnitudes, then ``irreducible``: connectivity of the graph with an edge
+    i -- j wherever D_ij > 0 off the diagonal.  With the contract it says
+    that the kernel of D is the constants.  D is symmetric, so one sweep from
+    vertex 0 decides it; the sweep costs more than a whole run's set-up at
+    2N = 100, so records skip it.  Failures are report entries.
     """
-    report = operator_contract(matrix)
-    # strongly connected: vertex 0 reaches every vertex, and every vertex
-    # reaches 0 (vertex 0 reaches it along the reversed edges)
-    edges = np.asarray(matrix, dtype=float) > 0.0
-    irreducible = _reaches_every_vertex(edges) and _reaches_every_vertex(edges.T)
+    report = operator_contract(op.matrix, op.grid.velocities, op.u_vector, op.lambda_star)
+    irreducible = _reaches_every_vertex(op.matrix > 0.0)
     return ValidationReport({**report.checks, "irreducible": irreducible}, report.details)
 
 

@@ -9,7 +9,9 @@ Each is allowed dense O((2N)^3) linear algebra and shares no code path with
 * the mean-zero solve D psi = phi through scipy's ``cho_factor``/``cho_solve``,
 * the dense interface-value oracle M(t)^{-1} S(t) built from eigenprojectors,
 * the per-interface kinetic and density fluxes the vectorised stepper must match,
-  and one whole step built from them.
+  and one whole step built from them,
+* the three-cell stencil blocks of the explicit step, read off one step of
+  the stepper it is given (the one helper here that runs the scheme).
 """
 
 from __future__ import annotations
@@ -375,3 +377,17 @@ def per_interface_step(
     rhs = f - ratio * (phi - np.roll(phi, 1, axis=0))
     system = np.eye(op.size) - params.stiffness * op.matrix
     return KineticState(np.linalg.solve(system, rhs.T).T, rho_new)
+
+
+def stencil_blocks(stepper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B_-1, B_0, B_1) with f_i^{n+1} = B_-1 f_{i-1} + B_0 f_i + B_1 f_{i+1}
+    for the explicit step, whose impulse in one cell reaches only that cell
+    and its two neighbours.  One step on 3 2N cells, with impulse j (e_j in
+    f, its velocity mean in rho) at cell 3j + 1, gives column j of each
+    block: B_1 e_j in cell 3j, B_0 e_j in cell 3j + 1, B_-1 e_j in cell 3j + 2.
+    """
+    n = stepper.op.size
+    f = np.zeros((3 * n, n))
+    f[3 * np.arange(n) + 1, np.arange(n)] = 1.0
+    responses = stepper.step(KineticState(f, f.mean(axis=1))).f.reshape(n, 3, n)
+    return responses[:, 2].T, responses[:, 1].T, responses[:, 0].T

@@ -14,6 +14,7 @@ from oracles import (
     macro_flux,
     micro_flux,
     per_interface_step,
+    stencil_blocks,
     u_and_lambda,
     underflow_exp,
 )
@@ -22,7 +23,7 @@ from ugks1d.errors import ConfigurationError
 from ugks1d.errors import SolverError
 from ugks1d.linalg import CyclicTridiagonalFactor, TridiagonalFactor
 from ugks1d.reference import limit_diffusion_step, upwind_transport_step
-from ugks1d.scenarios import Scenario, run_scenario
+from ugks1d.scenarios import PRESETS, Scenario, run_scenario
 from ugks1d.scheme import (
     KineticState,
     SchemeParams,
@@ -784,6 +785,41 @@ def test_stepper_caches_hold_for_every_cell_count(name, variant):
         advanced, fresh = shared.step(state), Stepper(op, params).step(state)
         assert np.array_equal(advanced.f, fresh.f)
         assert np.array_equal(advanced.rho, fresh.rho)
+
+
+def _preset_stepper(name, preset):
+    """The explicit step at nv = 16, dt = 1e-5 and dx = 0.01 on a preset's (eta, epsilon)."""
+    scenario = PRESETS[preset]
+    params = make_params(eta=scenario.eta, epsilon=scenario.epsilon, dt=1e-5, dx=0.01)
+    return Stepper(BUILDERS[name](build_grid(8)), params)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_an_explicit_step_reaches_only_the_two_neighbours(name, preset):
+    f = np.zeros((16, 16))
+    f[5] = np.random.default_rng(3).random(16)
+    stepped = _preset_stepper(name, preset).step(KineticState(f, f.mean(axis=1))).f
+    assert not stepped[np.r_[:4, 7:16]].any()
+    assert stepped[4].any() and stepped[6].any()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_stencil_symbol_is_the_stepped_fourier_mode(name, preset):
+    # f_i = a e^{i theta i} steps to G(theta) a e^{i theta i}; the step is
+    # real, so the real and imaginary parts are stepped apart
+    stepper = _preset_stepper(name, preset)
+    minus, centre, plus = stencil_blocks(stepper)
+    a = np.random.default_rng(5).random(16)
+    cells = np.arange(16)
+    for theta in 2.0 * np.pi * cells / 16:
+        mode = np.exp(1j * theta * cells)[:, None] * a
+        stepped = [stepper.step(KineticState(part, part.mean(axis=1))).f
+                   for part in (mode.real, mode.imag)]
+        symbol = minus * np.exp(-1j * theta) + centre + plus * np.exp(1j * theta)
+        expected = np.exp(1j * theta * cells)[:, None] * (symbol @ a)
+        np.testing.assert_allclose(stepped[0] + 1j * stepped[1], expected, rtol=0, atol=1e-13)
 
 
 def test_near_transport_step_matches_upwind():

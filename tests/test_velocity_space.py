@@ -31,6 +31,10 @@ BUILDERS = {
     "sc": build_scattering,
 }
 
+# operator_contract's checks, in report order
+CONTRACT_CHECKS = ("symmetric", "zero_row_sums", "nonnegative_off_diagonal",
+                   "d_u_equals_v", "u_mean_zero", "lambda_star")
+
 
 def test_grid_layout():
     grid = build_grid(5)
@@ -54,6 +58,14 @@ def test_grid_takes_its_half_count_by_the_count_rule(half_count):
     # 2.5 gave a five-velocity grid holding v = 0, and True a grid of two
     with pytest.raises(ConfigurationError, match="half_count expects int"):
         build_grid(half_count)
+
+
+@pytest.mark.parametrize("half_count", [0, -1, 2.5, True, "2"])
+def test_velocity_grid_checks_its_own_half_count(half_count):
+    # VelocityGrid(2.5) held v = 0, True was a grid of two, and 0 raised a
+    # bare ZeroDivisionError; only build_grid checked the count
+    with pytest.raises(ConfigurationError, match="half_count"):
+        velocity_space.VelocityGrid(half_count)
 
 
 def test_grid_half_count_is_an_int():
@@ -239,9 +251,9 @@ def test_band_matrices_hold_their_edge_weights_bitwise(half):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_operators_pass_structural_validation(name, half):
     op = BUILDERS[name](build_grid(half))
-    report = validate_operator(op.matrix)
+    report = validate_operator(op)
     assert report.passed, report.lines()
-    assert len(report.lines()) == 4
+    assert len(report.lines()) == 7
     assert all("ok" in line for line in report.lines())
 
 
@@ -325,17 +337,20 @@ def test_each_record_rule_is_checked_at_its_tolerance():
     dataclasses.replace(op, lambda_star=op.lambda_star * (1.0 + 1e-13))
 
 
+def _contract(op, matrix):
+    """The contract of ``matrix`` with the grid velocities, U and lambda_star of ``op``."""
+    return velocity_space.operator_contract(matrix, op.grid.velocities, op.u_vector, op.lambda_star)
+
+
 def test_validation_reports_the_contract_with_its_names_and_magnitudes():
     op, changes = _sc100_negative_pair()
-    report = validate_operator(changes["matrix"])
-    assert list(report.checks) == [
-        "symmetric", "zero_row_sums", "nonnegative_off_diagonal", "irreducible"
-    ]
+    report = _contract(op, changes["matrix"])
+    assert list(report.checks) == list(CONTRACT_CHECKS)
     assert report.checks["symmetric"] and report.checks["zero_row_sums"]
     assert not report.checks["nonnegative_off_diagonal"]
     assert report.details["nonnegative_off_diagonal"] == -1e-3
     op, changes = _sc100_stray()
-    assert validate_operator(changes["matrix"]).details["symmetric"] == 5e-324
+    assert _contract(op, changes["matrix"]).details["symmetric"] == 5e-324
 
 
 @st.composite
@@ -392,71 +407,59 @@ def test_a_contract_matrix_makes_a_record_and_inverts_at_every_stiffness(case, l
 
 
 def test_validation_flags_asymmetry():
-    report = validate_operator(np.array([[-1.0, 1.0], [0.5, -0.5]]))
+    report = _contract(build_bgk(build_grid(1)), np.array([[-1.0, 1.0], [0.5, -0.5]]))
     assert not report.checks["symmetric"]
     assert not report.passed
 
 
 def test_validation_flags_nonzero_row_sums_and_positive_mode():
     # the shift gives D a positive mode, the constants; the row sums show it
-    shifted = build_bgk(build_grid(3)).matrix + 0.1 * np.eye(6)
-    report = validate_operator(shifted)
+    op = build_bgk(build_grid(3))
+    report = _contract(op, op.matrix + 0.1 * np.eye(6))
     assert not report.checks["zero_row_sums"]
     assert report.details["zero_row_sums"] == pytest.approx(0.1)
     assert not report.passed
 
 
 def test_validation_flags_negative_off_diagonal():
-    report = validate_operator(-build_bgk(build_grid(3)).matrix)
+    op = build_bgk(build_grid(3))
+    report = _contract(op, -op.matrix)
     assert not report.checks["nonnegative_off_diagonal"]
     assert not report.passed
 
 
 def test_validation_flags_disconnected_blocks():
-    block = build_bgk(build_grid(1)).matrix
-    matrix = np.zeros((4, 4))
-    matrix[:2, :2] = block
-    matrix[2:, 2:] = block
-    report = validate_operator(matrix)
+    # edges 0 -- 3 and 1 -- 2 pair each v with -v, so U = -V/2 and the
+    # contract holds, but the kernel of D holds a non-constant vector
+    grid = build_grid(2)
+    matrix = np.array([[-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0],
+                       [0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+    report = validate_operator(CollisionOperator(grid, matrix, -2.0, -0.5 * grid.velocities))
     assert not report.checks["irreducible"]
-    assert report.checks["symmetric"] and report.checks["zero_row_sums"]
-
-
-def test_validation_flags_a_one_way_chain_as_reducible():
-    # 0 -> 1 -> 2 reaches every node from node 0, but nothing leads back
-    matrix = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
-    report = validate_operator(matrix)
-    assert not report.checks["irreducible"]
+    assert all(report.checks[name] for name in CONTRACT_CHECKS)
     assert not report.passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_irreducibility_agrees_with_strong_components(n):
     # the reachability sweep against scipy's graph search, on random
-    # directed graphs from empty to complete; each seed draws its own density
+    # symmetric graphs from empty to complete; each seed draws its own density
     from scipy.sparse.csgraph import connected_components
 
     seen = set()
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        edges = rng.random((n, n)) < rng.random()
-        matrix = np.where(edges, rng.random((n, n)), 0.0)
-        np.fill_diagonal(matrix, 0.0)
-        np.fill_diagonal(matrix, -matrix.sum(axis=1))
-        components, _ = connected_components(matrix > 0.0, directed=True, connection="strong")
-        assert validate_operator(matrix).checks["irreducible"] == (components == 1), seed
+        edges = np.triu(rng.random((n, n)) < rng.random(), 1)
+        edges |= edges.T
+        components, _ = connected_components(edges, directed=False)
+        assert velocity_space._reaches_every_vertex(edges) == (components == 1), seed
         seen.add(components == 1)
     assert seen == ({True} if n == 1 else {True, False})
 
 
 def test_validation_report_lines_follow_the_checks():
-    report = validate_operator(build_fokker_planck(build_grid(2)).matrix)
-    assert list(report.checks) == [
-        "symmetric",
-        "zero_row_sums",
-        "nonnegative_off_diagonal",
-        "irreducible",
-    ]
+    report = validate_operator(build_fokker_planck(build_grid(2)))
+    assert list(report.checks) == [*CONTRACT_CHECKS, "irreducible"]
     assert report.lines()[:3] == [
         "symmetric: ok (0.000e+00)",
         "zero row sums: ok (0.000e+00)",
@@ -465,32 +468,18 @@ def test_validation_report_lines_follow_the_checks():
     assert report.lines()[-1] == "irreducible: ok"
 
 
-def test_validation_rejects_non_square_input():
-    with pytest.raises(ConfigurationError, match="square"):
-        validate_operator(np.ones((2, 3)))
-    with pytest.raises(ConfigurationError, match="operator-invalid: expected a square matrix"):
-        validate_operator(np.zeros((0, 0)))
-
-
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (9, 9), (3, 3)])
 def test_u_solve_rejects_a_non_finite_matrix(where, value):
-    # the matrix-only contract raises before any product of a non-finite D warns
+    # the contract raises before any product of a non-finite D warns
     op = build_scattering(build_grid(5))
     matrix = op.matrix.copy()
     matrix[where] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigurationError, match="^operator-invalid: D must be finite$"):
-            velocity_space.operator_contract(matrix)
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_validation_rejects_a_non_finite_matrix(value):
-    matrix = build_fokker_planck(build_grid(2)).matrix.copy()
-    matrix[1, 2] = value
-    with pytest.raises(ConfigurationError, match="finite"):
-        validate_operator(matrix)
+        with pytest.raises(ConfigurationError,
+                           match="^operator-invalid: matrix and u_vector must be finite$"):
+            _contract(op, matrix)
 
 
 def test_solve_rejects_a_positive_mean_zero_mode():
@@ -500,7 +489,7 @@ def test_solve_rejects_a_positive_mean_zero_mode():
     # a positive mode needs a negative off-diagonal entry, which the contract names
     message = "operator-invalid: nonnegative_off_diagonal fails"
     with pytest.raises(ConfigurationError, match=message):
-        velocity_space.operator_contract(op.matrix + 2.0 * np.outer(w, w)).require()
+        _contract(op, op.matrix + 2.0 * np.outer(w, w)).require()
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
