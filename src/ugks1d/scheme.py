@@ -31,8 +31,9 @@ Collisions are implicit: each cell solves (I - c D_op) F = rhs with
 c = sigma dt/(eps eta).  For BGK that solve is F = k rhs + (rho^{n+1} -
 k mean rhs), k = 1/(1 + c), so ``Stepper`` folds k into the rows that
 assemble rhs and the collision costs no pass of its own.  Every other
-operator gets one dense inverse, built and centred once per run and
-applied to every cell as one matrix product (``Stepper._collide``).
+operator gets one dense inverse, built and centred once per run: one
+matrix product applies it to the upwind part of rhs, and the rank-two
+rows carry it, so every step ends in one rank-three product.
 
 ``KineticState`` holds no time: a run's step k is at time k dt, one
 product, never a sum of dt.  f has shape (nx, 2N).  The step accepts either
@@ -55,7 +56,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dger, dgemm
+from scipy.linalg.blas import daxpy, dgemm
 
 from .errors import (
     ConfigurationError,
@@ -223,8 +224,8 @@ class Stepper:
 
     Built from the operator and the parameters alone: the flux
     coefficients, the rows of the flux difference and, for every operator
-    but BGK, ``_collide``'s centred inverse of I - cD, whose builder is
-    chosen by the nonzero pattern of I - cD.  The record has already met
+    but BGK, the centred inverse Q of I - cD, whose builder is chosen by
+    the nonzero pattern of I - cD.  The record has already met
     ``velocity_space.operator_contract``, so nothing here checks D.  The
     operator is BGK when its matrix is exactly ``build_bgk``'s P0 - I.
     The upwind scale array and the eigenvalues of the implicit-diffusion
@@ -247,17 +248,19 @@ class Stepper:
     where k = 1/(1 + c) for BGK and 1 otherwise.  U is scaled by
     -k (dt/dx) A V stored as a (2N, nx) array: numpy multiplies two arrays
     of one shape faster than it broadcasts a column.  One BLAS daxpy adds
-    k F.  Then one BLAS product adds three rows, -k (dt/dx) C V, ones and
-    -k (dt/dx^2) D lambda_star U V, times the edge-density jump, a cell
-    vector beta written over the current jump, and the second difference.
+    k F, giving r.  One BLAS product then adds, in place, the rows
+    R = (-k (dt/dx) C V, ones, -k (dt/dx^2) D lambda_star U V) times
+    J = (the edge-density jump, a cell vector beta written over the current
+    jump, the second difference), and ends the step.
 
-    For BGK, D = P0 - I, so the collision solve is F = k rhs + (rho^{n+1}
-    - k mean rhs).  The two rank-two rows are given velocity mean zero,
-    which changes no F, and beta = rho^{n+1} - the velocity mean of the
-    array before the product, one BLAS read; so the product ends the step.
-
-    Every other operator's beta is -rho^{n+1}, so the product leaves the
-    fluctuation G = rhs - rho^{n+1} 1 for ``_collide``.
+    For BGK, D = P0 - I and F = k rhs + (rho^{n+1} - k mean rhs): the two
+    rank-two rows get velocity mean zero, which changes no F, and beta =
+    rho^{n+1} - mean r, one BLAS read.  Every other operator's exact F is
+    Q (rhs - rho^{n+1} 1) + rho^{n+1} 1 (D is symmetric with D 1 = 0), so
+    the step forms Q r, then adds W J with beta = rho^{n+1} and W = Q R^T
+    but for its middle column, 1 - Q 1.  Q 1 is zero only to rounding (8e-15
+    for sc at the diffusive preset, whose inverse's row sums are 3e-12 off
+    1), so that column takes the Q 1 rho^{n+1} in Q r back out.
 
     The implicit-diffusion macro system (I + mu Lap) rho^{n+1} =
     rho^n - (dt A/dx) diff(J), with mu = dt <V,V>/(2N) D_coef / dx^2 < 0,
@@ -278,17 +281,15 @@ class Stepper:
         # the velocity mean and current of the upwind difference: the jumps of
         # the edge density and the edge current across each cell
         self._jump_rows = np.stack((mean_row, v / n))
-        self._ones = np.ones(n)
         c = params.stiffness
         # build_bgk's P0 - I: 1/n - 1 on the diagonal and 1/n elsewhere
         bgk = bool((op.matrix.diagonal() == 1.0 / n - 1.0).all())
         bgk = bgk and np.count_nonzero(op.matrix == 1.0 / n) == n * n - n
         self.k = 1.0 / (1.0 + c) if bgk else 1.0
-        # the rows of the flux difference, each times -k dt/dx: a V for the
-        # upwind difference, then c V, ones for beta and d lambda* U V / dx for
-        # the second difference of rho; in Fortran order so that dgemm reads
-        # them without a copy.  For BGK the rank-two rows must have velocity
-        # mean zero; c V has it on the symmetric grid, and the last is centred.
+        # the upwind row a V and the rows R of the flux difference, each times
+        # -k dt/dx; R in Fortran order so that dgemm reads it without a copy.
+        # For BGK the rank-two rows must have velocity mean zero; c V has it
+        # on the symmetric grid, and the last is centred.
         scale = -self.k * params.dt / params.dx
         self._upwind_column = (scale * self.coeffs.a_coef * v)[:, None]
         rows = np.empty((3, n), order="F")
@@ -310,33 +311,15 @@ class Stepper:
             # I - cD in one fresh array (np.eye(n) - cD costs 8x as much at n = 800)
             system = -c * op.matrix
             system[np.arange(n), np.arange(n)] += 1.0
-            factor = _invert_collision_system(system)
-            # Q = inverse - 1 (column means of the inverse), in place: the
-            # factor keeps its class, whose solve the benchmark's probes count
-            inverse = factor.inverse
+            self._collision_factor = _invert_collision_system(system)
+            # Q = inverse - 1 (column means of the inverse), in place: the factor
+            # keeps its class, whose solve the benchmark's probes count.  Q lacks
+            # the inverse's subnormal entries at small c, which slow products
+            inverse = self._collision_factor.inverse
             inverse -= mean_row @ inverse
-            self._collision_factor = factor
-
-    def _collide(self, g: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
-        """Solve (I - cD) F = rhs given the fluctuation g = rhs - rho_new 1:
-        F = Q g + rho_new 1, a new array.
-
-        D is symmetric with D 1 = 0, so the exact F has velocity mean rho_new,
-        and "solve by the inverse, then add rho_new minus the mean of the
-        solution" is Q g + rho_new 1 with Q = inverse - 1 (column means of
-        the inverse), formed once per run.  Q holds no entry near zero: the
-        inverse's entries decay away from the diagonal, to subnormal numbers
-        when c is small, which slow the product several-fold; Q's sit near
-        -1/(2N) there.  The product keeps the fluctuation form because Q 1
-        is zero only to the inverse's rounding (inverse 1 - 1 is 3e-12 for sc
-        at the diffusive preset), so Q applied to rhs itself would leak
-        |Q 1| rho_new into F on every step; g has mean zero.
-
-        ``g`` is a C-contiguous (2N, nx) block, one column per cell; rho_new
-        is added by one BLAS rank-one update (dger), in place.
-        """
-        f = self._collision_factor.solve(g)
-        return dger(1.0, rho_new, self._ones, a=f.T, overwrite_a=True).T
+            # W = Q R^T but for its middle column, 1 - Q 1; Fortran-ordered as R
+            self.rows = (inverse @ rows.T).T
+            np.subtract(1.0, self.rows[1], out=self.rows[1])
 
     def _fit_mesh(self, nx: int) -> None:
         """Rebuild the mesh slot for nx cells unless it holds them already:
@@ -390,13 +373,15 @@ class Stepper:
         # scale and the rows carry the -k dt/dx
         f_new *= self._upwind_scale
         daxpy(flat, flat_new, a=self.k)  # in place: flat_new is contiguous
-        # beta in place of the current jump, then one (2N, 3) @ (3, nx)
-        # product that BLAS adds in place; BGK's beta ends its collision,
-        # the others' leaves the fluctuation
-        bgk = self._collision_factor is None
-        jumps[1] = rho_new - self._jump_rows[0] @ f_new if bgk else -rho_new
+        # beta in place of the current jump: for BGK rho_new minus the mean
+        # of r; for the others rho_new, and Q multiplies r first
+        if self._collision_factor is None:
+            jumps[1] = rho_new - self._jump_rows[0] @ f_new
+        else:
+            jumps[1] = rho_new
+            f_new = self._collision_factor.solve(f_new)
+        # one (2N, 3) @ (3, nx) product, added in place by BLAS, ends the step
         f_new = dgemm(1.0, jumps.T, self.rows, beta=1.0, c=f_new.T, overwrite_c=True).T
-        f_new = f_new if bgk else self._collide(f_new, rho_new)
         return KineticState(f_new.T, rho_new)
 
 

@@ -72,3 +72,12 @@ def test_velocity_space_imports_only_the_standard_library_and_numpy():
             assert velocity_space.operator_contract(
                 op.matrix, op.grid.velocities, op.u_vector, op.lambda_star
             ).passed
+
+
+def test_scheme_takes_only_daxpy_and_dgemm_from_blas():
+    # every operator's step ends in one rank-three dgemm; no rank-one update
+    tree = ast.parse((SRC / "ugks1d" / "scheme.py").read_text())
+    taken = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg.blas"
+             for alias in node.names]
+    assert sorted(taken) == ["daxpy", "dgemm"]
