@@ -308,6 +308,21 @@ def test_collision_solve_keeps_mean_exact_under_extreme_stiffness():
     np.testing.assert_allclose(advanced.f.mean(axis=1), advanced.rho, rtol=0, atol=5e-15)
 
 
+def test_collision_solve_leaves_its_arguments_alone():
+    # the step's collision stage, Q r, must land in a new array: the
+    # rank-three dgemm then adds W J into it in place
+    op = build_fokker_planck(build_grid(4))
+    ws = Stepper(op, make_params(eta=0.1, epsilon=0.1, dt=1e-2))
+    rng = np.random.default_rng(41)
+    rhs = 1.0 + rng.random((8, 6))  # the velocity-major (2N, nx) block
+    rhs0 = rhs.copy()
+    solved = ws._collision_factor.solve(rhs)
+    assert np.array_equal(rhs, rhs0)
+    assert not np.shares_memory(solved, rhs)
+    # Q is centred: its columns have velocity mean zero, so Q r has too
+    np.testing.assert_allclose(solved.mean(axis=0), 0.0, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("name", ["fp", "sc"])
 @pytest.mark.parametrize("nv", [8, 100, 400])
 def test_collision_inverse_matches_dense_solve_under_extreme_stiffness(name, nv):
